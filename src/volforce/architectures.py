@@ -420,18 +420,24 @@ def _write_entry(buf, kind: int, name: str, array: np.ndarray) -> None:
     buf.write(data.tobytes())
 
 
+def _read_exact(fh, n: int) -> bytes:
+    """Exactly ``n`` bytes of a checkpoint; a short read means the file was cut."""
+    data = fh.read(n)
+    if len(data) < n:
+        raise ValueError("checkpoint truncated")
+    return data
+
+
+def _unpack(fh, fmt: str) -> tuple:
+    return struct.unpack(fmt, _read_exact(fh, struct.calcsize(fmt)))
+
+
 def _read_entry(buf) -> tuple[int, str, np.ndarray]:
-    head = buf.read(3)
-    if len(head) < 3:
-        raise ValueError("checkpoint truncated")
-    kind, name_len = struct.unpack("<BH", head)
-    name = buf.read(name_len).decode("utf-8")
-    ndim = struct.unpack("<B", buf.read(1))[0]
-    shape = struct.unpack(f"<{ndim}I", buf.read(4 * ndim))
-    count = int(np.prod(shape)) if ndim else 1
-    raw = buf.read(4 * count)
-    if len(raw) < 4 * count:
-        raise ValueError("checkpoint truncated")
+    kind, name_len = _unpack(buf, "<BH")
+    name = _read_exact(buf, name_len).decode("utf-8")
+    (ndim,) = _unpack(buf, "<B")
+    shape = _unpack(buf, f"<{ndim}I")
+    raw = _read_exact(buf, 4 * (int(np.prod(shape)) if ndim else 1))
     return kind, name, np.frombuffer(raw, dtype="<f4").reshape(shape)
 
 
@@ -460,16 +466,19 @@ def load_checkpoint(path) -> tuple[Network, dict[str, np.ndarray]]:
         magic = fh.read(len(_CKPT_MAGIC))
         if magic != _CKPT_MAGIC:
             raise ValueError(f"not a checkpoint file: bad magic {magic!r}")
-        version = struct.unpack("<I", fh.read(4))[0]
+        (version,) = _unpack(fh, "<I")
         if version != _CKPT_VERSION:
             raise ValueError(f"unsupported checkpoint version {version}")
-        cfg_len = struct.unpack("<I", fh.read(4))[0]
-        config = ModelConfig(**json.loads(fh.read(cfg_len).decode("utf-8")))
-        net = build(config)
+        (cfg_len,) = _unpack(fh, "<I")
+        try:
+            config = ModelConfig(**json.loads(_read_exact(fh, cfg_len).decode("utf-8")))
+            net = build(config)
+        except TypeError as exc:  # unknown or missing keys, non-object JSON, bad types
+            raise ValueError(f"bad checkpoint config: {exc}") from None
         params = dict(net.named_params())
         buffers = dict(net.all_named_buffers())
         ema: dict[str, np.ndarray] = {}
-        n_entries = struct.unpack("<I", fh.read(4))[0]
+        (n_entries,) = _unpack(fh, "<I")
         for _ in range(n_entries):
             kind, name, arr = _read_entry(fh)
             if kind == _KIND_PARAM:

@@ -6,6 +6,8 @@ learning convention, with zero SAME padding: out_extent = ceil(in / s),
 pad_before = pad_total // 2.  Temporal axes are never strided and use
 symmetric (non-causal) SAME padding.
 
+``conv_nd`` is the one fast convolution (an autodiff primitive);
+``conv_spatial``, ``conv_st`` and ``factorized_conv`` are calls of it.
 ``conv_nd_reference`` is the slow, straight-line evaluation of the N-D
 convolution sum and is the correctness oracle for every faster path in
 this module.  Its accumulation order is pinned (documented below) so an
@@ -98,107 +100,107 @@ def conv_nd_reference(x, K, stride: int = 1, temporal: bool = False) -> np.ndarr
     return out
 
 
-# -- fast spatial convolution (autodiff primitive) --------------------------------
+# -- fast convolution (one autodiff primitive) -------------------------------------
+
+# Bound on one chunk of gathered columns (a chunk holds at least one sample).
+GATHER_CHUNK_BYTES = 8 << 20
 
 
-def conv_spatial(x: Tensor, K: Tensor, stride: int = 1) -> Tensor:
-    """SAME-padded spatial convolution, N = K.ndim - 2 in {2, 3}.
+def conv_nd(x: Tensor, K: Tensor, stride: int = 1, temporal: bool = False) -> Tensor:
+    """SAME-padded convolution over N = K.ndim - 2 in {2, 3, 4} axes.
 
-    x: [b, *spatial, c_in], K: [*kernel, c_in, c_out].  Implemented as a
-    shift-and-matmul accumulation: one GEMM per kernel offset, which keeps
-    peak memory at one padded copy of the input.
+    x: [b, *axes, c_in], K: [*kernel, c_in, c_out]; with ``temporal`` the
+    first convolved axis is time and keeps stride 1.  The input is padded
+    once and every kernel offset reads a strided window of that copy.
+    A 1-channel input gathers the windows into a column matrix in batch
+    chunks of at most ``GATHER_CHUNK_BYTES`` and runs one GEMM per chunk;
+    wider inputs accumulate one GEMM per offset (shift-and-matmul), since
+    gathering was measured slower for them.  Backward keeps only the
+    padded input; dK rebuilds the columns chunk by chunk.
     """
     n = K.ndim - 2
-    if n not in (2, 3):
-        raise ValueError(f"conv_spatial supports 2 or 3 spatial axes, got {n}")
+    if n not in (2, 3, 4):
+        raise ValueError(f"convolution supports 2, 3 or 4 convolved axes, got {n}")
     if x.ndim != n + 2:
         raise ValueError(f"input rank {x.ndim} does not match kernel rank {K.ndim}")
     if x.shape[-1] != K.shape[-2]:
         raise ValueError(f"channel mismatch: input has {x.shape[-1]}, kernel expects {K.shape[-2]}")
     xd, Kd = x.data, K.data
     batch, cin, cout = xd.shape[0], Kd.shape[-2], Kd.shape[-1]
-    extents = xd.shape[1:-1]
-    kext = Kd.shape[:-2]
-    geom = [same_pad(extents[i], kext[i], stride) for i in range(n)]
+    strides = tuple(1 if (temporal and i == 0) else stride for i in range(n))
+    geom = [same_pad(xd.shape[1 + i], Kd.shape[i], strides[i]) for i in range(n)]
     out_extents = tuple(g[0] for g in geom)
-    xp = np.pad(xd, ((0, 0),) + tuple((g[1], g[2]) for g in geom) + ((0, 0),))
-    offsets = list(iproduct(*map(range, kext)))
+    pads = ((0, 0),) + tuple(g[1:] for g in geom) + ((0, 0),)
+    inner = tuple(slice(lo, lo + e) for e, (lo, _) in zip(xd.shape, pads))
+    xp = xd
+    if any(map(any, pads)):  # zeros plus a copy: much cheaper than np.pad per call
+        xp = np.zeros(tuple(e + lo + hi for e, (lo, hi) in zip(xd.shape, pads)), xd.dtype)
+        xp[inner] = xd
+    offsets = list(iproduct(*map(range, Kd.shape[:-2])))
+    K3d = Kd.reshape(len(offsets), cin, cout)
+    per_sample = int(np.prod(out_extents))
+    rows = batch * per_sample
+    chunk = max(1, GATHER_CHUNK_BYTES // (len(offsets) * per_sample * xd.itemsize))
+    chunks = [(b0, min(b0 + chunk, batch)) for b0 in range(0, batch, chunk)]
 
-    def shifted_view(arr, k_coord):
-        idx = (slice(None),)
-        for i, k in enumerate(k_coord):
-            idx += (slice(k, k + (out_extents[i] - 1) * stride + 1, stride),)
-        return arr[idx + (slice(None),)]
+    def window(arr, k_coord):
+        return arr[(slice(None),) + tuple(
+            slice(k, k + (o - 1) * s + 1, s) for k, o, s in zip(k_coord, out_extents, strides))]
 
-    rows = batch * int(np.prod(out_extents))
+    def columns(b0, b1):
+        """[offset, row] windows of samples b0:b1 (1-channel input)."""
+        cols = np.empty((len(offsets), (b1 - b0) * per_sample), dtype=xd.dtype)
+        for oi, k_coord in enumerate(offsets):
+            cols[oi] = window(xp[b0:b1], k_coord).reshape(-1)
+        return cols
+
+    def windows():
+        """(offset index, [rows, c_in] window) pairs, copied into one reused buffer."""
+        buf = np.empty((batch,) + out_extents + (cin,), dtype=xd.dtype)
+        for oi, k_coord in enumerate(offsets):
+            np.copyto(buf, window(xp, k_coord))
+            yield oi, buf.reshape(rows, cin)
+
     out2d = np.zeros((rows, cout), dtype=xd.dtype)
-    K2d = Kd.reshape(-1, cin, cout)
-    for oi, k_coord in enumerate(offsets):
-        view = shifted_view(xp, k_coord).reshape(rows, cin)
-        out2d += view @ K2d[oi]
-    out_data = out2d.reshape((batch,) + out_extents + (cout,))
+    if cin == 1:
+        for b0, b1 in chunks:
+            out2d[b0 * per_sample:b1 * per_sample] = columns(b0, b1).T @ K3d[:, 0]
+    else:
+        prod = np.empty_like(out2d)
+        for oi, view in windows():
+            out2d += np.matmul(view, K3d[oi], out=prod)
 
     def backward_fn(g):
         g2d = np.ascontiguousarray(g).reshape(rows, cout)
         if K.requires_grad:
-            dK = np.empty_like(Kd)
-            dK2d = dK.reshape(-1, cin, cout)
-            for oi, k_coord in enumerate(offsets):
-                view = shifted_view(xp, k_coord).reshape(rows, cin)
-                dK2d[oi] = view.T @ g2d
+            dK = np.zeros_like(K3d)
+            if cin == 1:
+                for b0, b1 in chunks:
+                    dK[:, 0] += columns(b0, b1) @ g2d[b0 * per_sample:b1 * per_sample]
+            else:
+                for oi, view in windows():
+                    np.matmul(view.T, g2d, out=dK[oi])
             T._accumulate(K, dK)
         if x.requires_grad:
             dxp = np.zeros_like(xp)
             for oi, k_coord in enumerate(offsets):
-                shifted_view(dxp, k_coord)[...] += (g2d @ K2d[oi].T).reshape(
+                window(dxp, k_coord)[...] += (g2d @ K3d[oi].T).reshape(
                     (batch,) + out_extents + (cin,))
-            idx = (slice(None),) + tuple(
-                slice(geom[i][1], dxp.shape[1 + i] - geom[i][2]) for i in range(n)
-            ) + (slice(None),)
-            T._accumulate(x, dxp[idx])
+            T._accumulate(x, dxp[inner])
 
-    return T._make(out_data, (x, K), backward_fn)
+    return T._make(out2d.reshape((batch,) + out_extents + (cout,)), (x, K), backward_fn)
 
 
-# -- temporal composition ---------------------------------------------------------
+def conv_spatial(x: Tensor, K: Tensor, stride: int = 1) -> Tensor:
+    """Spatial convolution: x [b, *spatial, c_in], K [*kernel, c_in, c_out]."""
+    return conv_nd(x, K, stride)
 
 
 def conv_st(x: Tensor, K: Tensor, stride: int = 1) -> Tensor:
-    """Spatio-temporal convolution built from spatial convolutions.
-
-    x: [b, p, *spatial, c_in], K: [k_t, *kernel, c_in, c_out].  For each
-    temporal kernel slice i, the matching window of the (temporally
-    SAME-padded) input is run through one spatial convolution with the
-    time axis folded into the batch, and the k_t partial results are
-    summed.  Temporal stride is 1; ``stride`` applies spatially.  Equal to
-    ``conv_nd_reference`` on the same data up to float accumulation
-    (see tests).  With k_t = 1 this is exactly one spatial convolution
-    applied independently per time step.
-    """
-    kt = K.shape[0]
-    b, p = x.shape[0], x.shape[1]
-    spatial = x.shape[2:-1]
-    cin, cout = x.shape[-1], K.shape[-1]
-    pt = kt // 2
-    xp = T.pad_zero(x, ((0, 0), (pt, pt)) + ((0, 0),) * (len(spatial) + 1)) if pt else x
-    out = None
-    for i in range(kt):
-        xi = xp[:, i:i + p] if kt > 1 else xp
-        flat = T.reshape(xi, (b * p,) + spatial + (cin,))
-        yi = conv_spatial(flat, K[i], stride)
-        out = yi if out is None else out + yi
-    out_spatial = out.shape[1:-1]
-    return T.reshape(out, (b, p) + out_spatial + (cout,))
-
-
-def conv4d_via_3d(x: Tensor, K: Tensor, stride: int = 1) -> Tensor:
-    """4-D convolution of a volume sequence via looped 3-D convolutions.
-
-    x: [b, p, h, w, d, c_in], K: [k_t, k_h, k_w, k_d, c_in, c_out].
-    """
-    if x.ndim != 6 or K.ndim != 6:
-        raise ValueError(f"conv4d expects 6-D input and kernel, got {x.shape} and {K.shape}")
-    return conv_st(x, K, stride)
+    """Spatio-temporal convolution: x [b, p, *spatial, c_in], K [k_t, *kernel, c_in,
+    c_out]; time keeps stride 1 and SAME extent, ``stride`` applies spatially.
+    With k_t = 1 this is exactly ``conv_spatial`` applied per time step."""
+    return conv_nd(x, K, stride, temporal=True)
 
 
 def factorized_conv(x: Tensor, K_S: Tensor, K_T: Tensor, stride: int = 1) -> Tensor:
@@ -279,7 +281,6 @@ def batch_norm(x: Tensor, state: BatchNorm, training: bool) -> Tensor:
 # -- layers -------------------------------------------------------------------------
 
 
-CONV_KINDS = ("full4d", "fac4d", "st3d", "fac3d", "conv3d", "conv2d")
 _KIND_GEOM = {
     # kind -> (n_spatial, temporal, factorized)
     "full4d": (3, True, False),
@@ -304,8 +305,7 @@ class Conv:
         self.spec = ConvSpec(kernel=(k,) * n_axes, in_channels=cin,
                              out_channels=cout, stride=stride, temporal=temporal)
         self.stride = stride
-        kshape = ((k,) if temporal else ()) + (k,) * n_spatial + (cin, cout)
-        self.weight = Tensor(init(kshape), requires_grad=True)
+        self.weight = Tensor(init((k,) * n_axes + (cin, cout)), requires_grad=True)
         self.temporal = temporal
 
     def __call__(self, x: Tensor) -> Tensor:

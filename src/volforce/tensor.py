@@ -66,7 +66,8 @@ class Tensor:
     gradient to them.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "name")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "name",
+                 "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False, name: str = ""):
         arr = np.asarray(data, dtype=_DEFAULT_DTYPE)

@@ -214,6 +214,7 @@ def train(net, train_data, cfg: TrainConfig, val_data=None, on_epoch=None,
             T.backward(loss)
             adam.step()
             ema.update(named)
+            del pred, loss  # release this step's graph before the next forward
             result.steps += 1
             total += value * len(idx)
             seen += len(idx)

@@ -6,6 +6,9 @@ independent of the library code paths they check.
 
 from __future__ import annotations
 
+import json
+import struct
+
 import numpy as np
 
 from volforce import ops
@@ -64,6 +67,15 @@ def loop_conv_nd(x: np.ndarray, K: np.ndarray, stride: int = 1,
     return result
 
 
+def rewrite_checkpoint_config(path, edit) -> None:
+    """Replace a checkpoint's config JSON by ``edit(config)``, keeping the rest."""
+    data = path.read_bytes()
+    head = len(b"VFCKPT") + 4  # magic, u32 version
+    (n,) = struct.unpack("<I", data[head:head + 4])
+    cfg = json.dumps(edit(json.loads(data[head + 4:head + 4 + n]))).encode()
+    path.write_bytes(data[:head] + struct.pack("<I", len(cfg)) + cfg + data[head + 4 + n:])
+
+
 def rel_err(a: np.ndarray, b: np.ndarray) -> float:
     scale = max(float(np.abs(b).max()), 1e-30)
     return float(np.abs(np.asarray(a, np.float64) - np.asarray(b, np.float64)).max()) / scale
@@ -105,7 +117,7 @@ def primitive_grad_cases(rng: np.random.Generator):
     yield "conv2d", lambda: T.tsum(ops.conv_spatial(x2, k2, 1) ** 2.0), [x2, k2]
     x4 = rt(1, 3, 4, 4, 4, 1)
     k4 = rt(3, 3, 3, 3, 1, 2, scale=0.4)
-    yield "conv4d", lambda: T.tsum(ops.conv4d_via_3d(x4, k4, 2) ** 2.0), [x4, k4]
+    yield "conv4d", lambda: T.tsum(ops.conv_st(x4, k4, 2) ** 2.0), [x4, k4]
 
 
 def check_all_primitive_grads(instances: int = 100, seed: int = 0,

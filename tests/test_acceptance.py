@@ -64,12 +64,12 @@ def test_criterion_1_conv_oracle_equivalence():
         x32 = rng.normal(size=(1, p) + e + (cin,)).astype(np.float32)
         k32 = rng.normal(size=(3, 3, 3, 3, cin, cout)).astype(np.float32)
         ref = ops.conv_nd_reference(x32, k32, stride=stride, temporal=True)
-        fast32 = ops.conv4d_via_3d(Tensor(x32), Tensor(k32), stride=stride).data
+        fast32 = ops.conv_st(Tensor(x32), Tensor(k32), stride=stride).data
         worst32 = max(worst32, rel_err(fast32, ref))
         with T.use_dtype(np.float64):
-            fast64 = ops.conv4d_via_3d(Tensor(x32.astype(np.float64)),
-                                       Tensor(k32.astype(np.float64)),
-                                       stride=stride).data
+            fast64 = ops.conv_st(Tensor(x32.astype(np.float64)),
+                                 Tensor(k32.astype(np.float64)),
+                                 stride=stride).data
         worst64 = max(worst64, rel_err(fast64, ref))
     elapsed = time.time() - started
     assert worst32 <= 1e-5, f"32-bit max relative error {worst32}"
@@ -90,7 +90,7 @@ def test_criterion_2_separable_equivalence_and_param_counts():
         ks = rng.normal(size=(1, 3, 3, 3, 1, 1)).astype(np.float32)
         kt = rng.normal(size=(3, 1, 1, 1, 1, 1)).astype(np.float32)
         full = Tensor(kt.reshape(3, 1, 1, 1, 1, 1) * ks.reshape(1, 3, 3, 3, 1, 1))
-        a = ops.conv4d_via_3d(x, full, 1).data
+        a = ops.conv_st(x, full, 1).data
         b = ops.factorized_conv(x, Tensor(ks), Tensor(kt), 1).data
         worst = max(worst, rel_err(a, b))
     assert worst <= 1e-5, f"separable mismatch {worst}"
@@ -195,7 +195,7 @@ def test_criterion_4_degenerate_reductions():
     # k_t = 1 4D conv == independent per-time-step 3D conv, exact
     xv = Tensor(rng.normal(size=(2, 3, 5, 5, 5, 2)).astype(np.float32))
     K1 = Tensor(rng.normal(size=(1, 3, 3, 3, 2, 3)).astype(np.float32))
-    merged = ops.conv4d_via_3d(xv, K1, 1).data
+    merged = ops.conv_st(xv, K1, 1).data
     per_step = np.stack([ops.conv_spatial(xv[:, t], K1[0], 1).data
                          for t in range(3)], axis=1)
     npt.assert_array_equal(merged, per_step)

@@ -7,6 +7,8 @@ from volforce import reps
 from volforce import tensor as T
 from volforce.tensor import Tensor
 
+from helpers import rewrite_checkpoint_config
+
 
 def _tiny(family, rep, rnn="none", **kw):
     kw.setdefault("base_channels", 4)
@@ -290,4 +292,31 @@ class TestCheckpoint:
         data = path.read_bytes()
         path.write_bytes(data[:len(data) // 2])
         with pytest.raises(ValueError, match="truncated"):
+            A.load_checkpoint(path)
+
+    def test_every_sampled_prefix_rejected(self, tmp_path):
+        net = A.build(_tiny("resnet", "2d-s"))
+        path = tmp_path / "model.ckpt"
+        A.save_checkpoint(path, net, None)
+        data = path.read_bytes()
+        cut = tmp_path / "cut.ckpt"
+        # every length through the fixed header into the config JSON, then a
+        # seeded sample of longer prefixes
+        sampled = np.random.default_rng(31).integers(1, len(data), size=40)
+        for n in sorted({*range(48), 8, 12, *sampled.tolist(), len(data) - 1}):
+            cut.write_bytes(data[:n])
+            with pytest.raises(ValueError):
+                A.load_checkpoint(cut)
+
+    @pytest.mark.parametrize("edit", [lambda cfg: dict(cfg, dropout=0.5),
+                                      lambda cfg: dict(cfg, base_channels=4.5),
+                                      lambda cfg: dict(cfg, history="2"),
+                                      lambda cfg: list(cfg)],
+                             ids=["unknown-key", "float-channels", "string-history", "list"])
+    def test_bad_config_rejected(self, tmp_path, edit):
+        net = A.build(_tiny("resnet", "2d-s"))
+        path = tmp_path / "model.ckpt"
+        A.save_checkpoint(path, net, None)
+        rewrite_checkpoint_config(path, edit)
+        with pytest.raises(ValueError, match="bad checkpoint config"):
             A.load_checkpoint(path)

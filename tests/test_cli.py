@@ -7,6 +7,8 @@ import numpy.testing as npt
 from volforce import architectures as A
 from volforce import cli
 
+from helpers import rewrite_checkpoint_config
+
 
 def _gen(tmp_path, name="ds.oct4d", seed="7", samples="24", experiments="4",
          kind="sinusoid"):
@@ -131,6 +133,20 @@ class TestEval:
     def test_missing_checkpoint_flag_exits_nonzero(self, tmp_path):
         rc = cli.main(["eval", "--dataset", "x", "--out", str(tmp_path)])
         assert rc == 1
+
+    def test_bad_checkpoint_prints_error_not_traceback(self, tmp_path, capsys):
+        ds = _gen(tmp_path)
+        ckpt, _ = _train(tmp_path, ds)
+        data = ckpt.read_bytes()
+        (tmp_path / "cut8.ckpt").write_bytes(data[:8])
+        (tmp_path / "cut12.ckpt").write_bytes(data[:12])
+        rewrite_checkpoint_config(ckpt, lambda cfg: dict(cfg, dropout=0.5))
+        for path in (tmp_path / "cut8.ckpt", tmp_path / "cut12.ckpt", ckpt):
+            rc = cli.main(["eval", "--dataset", str(ds), "--checkpoint", str(path),
+                           "--d-out", "8", "--out", str(tmp_path / "ev")])
+            err = capsys.readouterr().err
+            assert rc == 1, path
+            assert err.startswith("error:") and len(err.strip().splitlines()) == 1, err
 
 
 class TestSweep:

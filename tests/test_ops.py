@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -58,11 +60,77 @@ class TestConvReference:
             ops.conv_nd_reference(np.zeros((1, 4, 1)), np.zeros((3, 1, 1)))
 
 
+class TestConvPrimitive:
+    # c_in = 1 takes the gathered-column path, c_in > 1 shift-and-matmul
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("cin", [1, 3])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("temporal", [False, True])
+    def test_matches_reference(self, rng, n, cin, stride, temporal):
+        x = rng.normal(size=(2,) + (3, 5, 4, 6)[:n] + (cin,)).astype(np.float32)
+        K = rng.normal(size=(3,) * n + (cin, 2)).astype(np.float32)
+        fast = ops.conv_nd(Tensor(x), Tensor(K), stride, temporal).data
+        ref = ops.conv_nd_reference(x, K, stride, temporal)
+        assert fast.shape == ref.shape
+        assert rel_err(fast, ref) <= 1e-5
+
+    def test_gathered_gradient_float64(self, rng, monkeypatch):
+        # one sample per column chunk, so dK sums over chunks
+        monkeypatch.setattr(ops, "GATHER_CHUNK_BYTES", 1)
+        with T.use_dtype(np.float64):
+            x = Tensor(rng.normal(size=(3, 4, 5, 4, 1)), requires_grad=True)
+            K = Tensor(rng.normal(size=(3, 3, 3, 1, 2)) * 0.4, requires_grad=True)
+            for stride in (1, 2):
+                err = T.finite_diff_check(
+                    lambda: T.tsum(ops.conv_spatial(x, K, stride) ** 2.0), [x, K], eps=1e-4)
+                assert err < 1e-4
+
+    def test_gathered_columns_are_chunked_and_not_kept(self, rng, monkeypatch):
+        monkeypatch.setattr(ops, "GATHER_CHUNK_BYTES", 1 << 20)
+        x = Tensor(rng.normal(size=(8, 16, 16, 16, 1)).astype(np.float32))
+        K = Tensor(rng.normal(size=(3, 3, 3, 1, 4)).astype(np.float32), requires_grad=True)
+        full_columns = 27 * x.size * 4
+        padded = 8 * 18 ** 3 * 4
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = ops.conv_spatial(x, K, 1)
+            held = tracemalloc.get_traced_memory()[0] - before
+            T.backward(T.tsum(out))
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        # the graph holds the output and the padded input, no columns
+        assert held < out.data.nbytes + padded + (64 << 10)
+        assert peak < full_columns
+        assert K.grad is not None
+
+    def test_one_graph_node_per_call(self, rng):
+        x = Tensor(rng.normal(size=(2, 3, 4, 4, 4, 2)).astype(np.float32), requires_grad=True)
+        K = Tensor(rng.normal(size=(3, 3, 3, 3, 2, 3)).astype(np.float32), requires_grad=True)
+        assert ops.conv_st(x, K, 2)._parents == (x, K)
+        K_S = Tensor(rng.normal(size=(1, 3, 3, 3, 2, 3)).astype(np.float32), requires_grad=True)
+        K_T = Tensor(rng.normal(size=(3, 1, 1, 1, 3, 3)).astype(np.float32), requires_grad=True)
+        out = ops.factorized_conv(x, K_S, K_T, 1)
+        assert out._parents[1] is K_T and out._parents[0]._parents == (x, K_S)
+
+
 class TestConv4d:
     def test_kt1_equals_per_timestep_3d(self, rng):
         x = Tensor(rng.normal(size=(2, 3, 4, 4, 4, 2)).astype(np.float32))
         K = Tensor(rng.normal(size=(1, 3, 3, 3, 2, 3)).astype(np.float32))
-        merged = ops.conv4d_via_3d(x, K, stride=1).data
+        merged = ops.conv_st(x, K, stride=1).data
+        per_step = np.stack([ops.conv_spatial(x[:, t], K[0], 1).data
+                             for t in range(3)], axis=1)
+        npt.assert_array_equal(merged, per_step)
+
+    @pytest.mark.parametrize("chunk_bytes", [ops.GATHER_CHUNK_BYTES, 1])
+    def test_kt1_equals_per_timestep_3d_one_channel(self, rng, monkeypatch, chunk_bytes):
+        # the gathered-column path, in one chunk and in one chunk per sample
+        monkeypatch.setattr(ops, "GATHER_CHUNK_BYTES", chunk_bytes)
+        x = Tensor(rng.normal(size=(2, 3, 4, 4, 4, 1)).astype(np.float32))
+        K = Tensor(rng.normal(size=(1, 3, 3, 3, 1, 3)).astype(np.float32))
+        merged = ops.conv_st(x, K, stride=1).data
         per_step = np.stack([ops.conv_spatial(x[:, t], K[0], 1).data
                              for t in range(3)], axis=1)
         npt.assert_array_equal(merged, per_step)
@@ -71,7 +139,7 @@ class TestConv4d:
         x = Tensor(rng.normal(size=(1, 4, 6, 6, 6, 2)).astype(np.float32))
         K = Tensor(rng.normal(size=(3, 3, 3, 3, 2, 3)).astype(np.float32))
         for stride in (1, 2):
-            fast = ops.conv4d_via_3d(x, K, stride=stride).data
+            fast = ops.conv_st(x, K, stride=stride).data
             ref = ops.conv_nd_reference(x, K, stride=stride, temporal=True)
             assert rel_err(fast, ref) <= 1e-5
 
@@ -80,7 +148,7 @@ class TestConv4d:
         x = Tensor(np.repeat(frame, 5, axis=1))
         K = rng.normal(size=(3, 3, 3, 3, 1, 1)).astype(np.float32)
         K[2] = K[0]  # temporally symmetric
-        out = ops.conv4d_via_3d(x, Tensor(K), stride=1).data
+        out = ops.conv_st(x, Tensor(K), stride=1).data
         # interior time steps see the full temporal window of equal frames
         for t in (2, 3):
             npt.assert_allclose(out[:, t], out[:, 1], rtol=1e-5, atol=1e-6)
@@ -88,7 +156,7 @@ class TestConv4d:
     def test_temporal_extent_preserved_and_spatial_ceil(self, rng):
         x = Tensor(rng.normal(size=(1, 5, 6, 6, 6, 1)).astype(np.float32))
         K = Tensor(rng.normal(size=(3, 3, 3, 3, 1, 2)).astype(np.float32))
-        out = ops.conv4d_via_3d(x, K, stride=2)
+        out = ops.conv_st(x, K, stride=2)
         assert out.shape == (1, 5, 3, 3, 3, 2)
 
 
@@ -125,7 +193,7 @@ class TestFactorized:
             ks = rng.normal(size=(1, 3, 3, 3, 1, 1)).astype(np.float32)
             kt = rng.normal(size=(3, 1, 1, 1, 1, 1)).astype(np.float32)
             full = Tensor(kt.reshape(3, 1, 1, 1, 1, 1) * ks.reshape(1, 3, 3, 3, 1, 1))
-            a = ops.conv4d_via_3d(x, full, 1).data
+            a = ops.conv_st(x, full, 1).data
             b = ops.factorized_conv(x, Tensor(ks), Tensor(kt), 1).data
             assert rel_err(a, b) <= 1e-5
 
@@ -137,7 +205,7 @@ class TestFactorized:
         ks = full[1:2].copy()
         kt = np.zeros((3, 1, 1, 1, 1, 1), dtype=np.float32)
         kt[:, 0, 0, 0, 0, 0] = full[:, 1, 1, 1, 0, 0]
-        a = ops.conv4d_via_3d(x, Tensor(full), 1).data
+        a = ops.conv_st(x, Tensor(full), 1).data
         b = ops.factorized_conv(x, Tensor(ks), Tensor(kt), 1).data
         assert rel_err(a, b) > 1e-2
 
@@ -279,7 +347,7 @@ class TestInvariants:
             stride = int(rng.integers(1, 3))
             x = Tensor(rng.normal(size=(1, p, e, e, e, cin)).astype(np.float32))
             K = Tensor(rng.normal(size=(3, 3, 3, 3, cin, cout)).astype(np.float32))
-            fast = ops.conv4d_via_3d(x, K, stride=stride).data
+            fast = ops.conv_st(x, K, stride=stride).data
             ref = ops.conv_nd_reference(x, K, stride=stride, temporal=True)
             assert rel_err(fast, ref) <= 1e-5
 
@@ -297,16 +365,16 @@ class TestInvariants:
     def test_same_padding_preserves_extents_at_stride_1(self, rng):
         x = Tensor(rng.normal(size=(1, 3, 5, 6, 7, 2)).astype(np.float32))
         K = Tensor(rng.normal(size=(3, 3, 3, 3, 2, 2)).astype(np.float32))
-        assert ops.conv4d_via_3d(x, K, 1).shape == (1, 3, 5, 6, 7, 2)
+        assert ops.conv_st(x, K, 1).shape == (1, 3, 5, 6, 7, 2)
 
     def test_linearity(self, rng):
         x = Tensor(rng.normal(size=(1, 3, 4, 4, 4, 2)).astype(np.float32))
         y = Tensor(rng.normal(size=(1, 3, 4, 4, 4, 2)).astype(np.float32))
         K = Tensor(rng.normal(size=(3, 3, 3, 3, 2, 2)).astype(np.float32))
         alpha, beta = 1.7, -0.6
-        lhs = ops.conv4d_via_3d(alpha * x + beta * y, K, 1).data
-        rhs = (alpha * ops.conv4d_via_3d(x, K, 1).data
-               + beta * ops.conv4d_via_3d(y, K, 1).data)
+        lhs = ops.conv_st(alpha * x + beta * y, K, 1).data
+        rhs = (alpha * ops.conv_st(x, K, 1).data
+               + beta * ops.conv_st(y, K, 1).data)
         assert rel_err(lhs, rhs) <= 1e-5
 
     def test_temporal_stride_never_strided(self):

@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import numpy.testing as npt
@@ -230,6 +231,22 @@ class TestTrainLoop:
         npt.assert_allclose(np.sort(targets), np.sort(data.all_labels()))
         mu, sd = net.label_norm
         assert sd > 0 and mu == pytest.approx(float(data.all_labels().mean()))
+
+    def test_previous_graph_released_before_next_forward(self, rng, monkeypatch):
+        data = _toy_data(rng, n=24)
+        net = _toy_net()
+        forward, preds, alive = net.forward, [], []
+
+        def spy(x, training=False):
+            alive.append(sum(ref() is not None for ref in preds))
+            pred = forward(x, training=training)
+            preds.append(weakref.ref(pred))
+            return pred
+
+        monkeypatch.setattr(net, "forward", spy)
+        cfg = TR.TrainConfig(epochs=2, batch_size=8, learning_rate=1e-3, seed=0)
+        assert TR.train(net, data, cfg).steps == 6
+        assert alive == [0] * 6
 
     def test_early_stop_hook(self, rng):
         data = _toy_data(rng, n=8)
