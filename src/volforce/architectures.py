@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import io
 import json
+import math
 import struct
 from dataclasses import asdict, dataclass
 from typing import Iterator
@@ -34,6 +35,7 @@ import numpy as np
 
 from volforce import ops
 from volforce import tensor as T
+from volforce.phantom import atomic_write, bytes_left, read_exact, unpack
 from volforce.recurrent import ConvGRUCell, ConvLSTMCell, GRUCell, LSTMCell, unroll
 from volforce.tensor import Tensor
 
@@ -332,6 +334,10 @@ def build(config: ModelConfig, seed: int = 0, init_std: float = 0.01) -> Network
     def init(shape):
         return init_truncated_normal(shape, init_std, rng)
 
+    return _assemble(config, init)
+
+
+def _assemble(config: ModelConfig, init) -> Network:
     cls = {
         "resnet": _ResNet,
         "fac_resnet": _ResNet,
@@ -344,10 +350,6 @@ def build(config: ModelConfig, seed: int = 0, init_std: float = 0.01) -> Network
         dupes = sorted({n for n in names if names.count(n) > 1})
         raise AssertionError(f"duplicate parameter names in registry: {dupes}")
     return net
-
-
-def param_count(net: Network) -> int:
-    return net.param_count()
 
 
 # -- architecture name table (the CLI surface) -------------------------------------
@@ -420,24 +422,12 @@ def _write_entry(buf, kind: int, name: str, array: np.ndarray) -> None:
     buf.write(data.tobytes())
 
 
-def _read_exact(fh, n: int) -> bytes:
-    """Exactly ``n`` bytes of a checkpoint; a short read means the file was cut."""
-    data = fh.read(n)
-    if len(data) < n:
-        raise ValueError("checkpoint truncated")
-    return data
-
-
-def _unpack(fh, fmt: str) -> tuple:
-    return struct.unpack(fmt, _read_exact(fh, struct.calcsize(fmt)))
-
-
 def _read_entry(buf) -> tuple[int, str, np.ndarray]:
-    kind, name_len = _unpack(buf, "<BH")
-    name = _read_exact(buf, name_len).decode("utf-8")
-    (ndim,) = _unpack(buf, "<B")
-    shape = _unpack(buf, f"<{ndim}I")
-    raw = _read_exact(buf, 4 * (int(np.prod(shape)) if ndim else 1))
+    kind, name_len = unpack(buf, "<BH")
+    name = read_exact(buf, name_len).decode("utf-8")
+    (ndim,) = unpack(buf, "<B")
+    shape = unpack(buf, f"<{ndim}I")
+    raw = read_exact(buf, 4 * math.prod(shape))
     return kind, name, np.frombuffer(raw, dtype="<f4").reshape(shape)
 
 
@@ -456,35 +446,59 @@ def save_checkpoint(path, net: Network, ema: dict[str, np.ndarray] | None = None
     buf.write(struct.pack("<I", len(entries)))
     for kind, name, arr in entries:
         _write_entry(buf, kind, name, arr)
-    from volforce.phantom import atomic_write
     atomic_write(path, buf.getvalue())
 
 
+def _unallocated(shape) -> np.ndarray:
+    """A zero-stride placeholder parameter: shape only, no memory."""
+    return np.broadcast_to(np.zeros((), dtype=T.default_dtype()), shape)
+
+
 def load_checkpoint(path) -> tuple[Network, dict[str, np.ndarray]]:
-    """Rebuild the network from a checkpoint; returns (net, ema shadows)."""
+    """Rebuild the network from a checkpoint; returns (net, ema shadows).
+
+    The network is assembled with placeholder parameters and takes each
+    parameter array from the file, so a config implying more parameters
+    than the file holds is rejected before they are allocated.  Every
+    parameter and buffer must appear once with its exact shape, and EMA
+    shadows must name parameters.
+    """
     with open(path, "rb") as fh:
         magic = fh.read(len(_CKPT_MAGIC))
         if magic != _CKPT_MAGIC:
             raise ValueError(f"not a checkpoint file: bad magic {magic!r}")
-        (version,) = _unpack(fh, "<I")
+        (version,) = unpack(fh, "<I")
         if version != _CKPT_VERSION:
             raise ValueError(f"unsupported checkpoint version {version}")
-        (cfg_len,) = _unpack(fh, "<I")
+        (cfg_len,) = unpack(fh, "<I")
         try:
-            config = ModelConfig(**json.loads(_read_exact(fh, cfg_len).decode("utf-8")))
-            net = build(config)
+            config = ModelConfig(**json.loads(read_exact(fh, cfg_len).decode("utf-8")))
+            net = _assemble(config, _unallocated)
         except TypeError as exc:  # unknown or missing keys, non-object JSON, bad types
             raise ValueError(f"bad checkpoint config: {exc}") from None
         params = dict(net.named_params())
         buffers = dict(net.all_named_buffers())
+        targets = {_KIND_PARAM: params, _KIND_EMA: params, _KIND_BUFFER: buffers}
         ema: dict[str, np.ndarray] = {}
-        (n_entries,) = _unpack(fh, "<I")
+        seen: set[tuple[int, str]] = set()
+        (n_entries,) = unpack(fh, "<I")
+        if 8 * n_entries > bytes_left(fh):  # an entry takes at least 8 bytes
+            raise ValueError(f"checkpoint truncated: {n_entries} entries declared")
         for _ in range(n_entries):
             kind, name, arr = _read_entry(fh)
+            target = targets.get(kind, {}).get(name)
+            if target is None or target.shape != arr.shape or (kind, name) in seen:
+                raise ValueError(f"checkpoint entry {name!r} (kind {kind}, shape "
+                                 f"{arr.shape}) does not fit its config")
+            seen.add((kind, name))
             if kind == _KIND_PARAM:
-                np.copyto(params[name].data, arr)
+                target.data = arr.astype(T.default_dtype())
             elif kind == _KIND_BUFFER:
-                np.copyto(buffers[name], arr)
+                np.copyto(target, arr)
             else:
                 ema[name] = arr.astype(T.default_dtype())
+        missing = ([n for n in params if (_KIND_PARAM, n) not in seen]
+                   + [n for n in buffers if (_KIND_BUFFER, n) not in seen])
+        if missing:
+            raise ValueError(f"checkpoint lacks {len(missing)} entries, first {missing[0]!r}")
         return net, ema

@@ -10,6 +10,7 @@ files never do.
 from __future__ import annotations
 
 import argparse
+import fcntl
 import json
 import os
 import sys
@@ -234,14 +235,19 @@ def _evaluate(net, ema, splits, settings, run_id, arch_name, p, f):
 
 
 def _append_report(path, report) -> None:
+    """Append one CSV row, after the header if the file is empty, with one
+    write on an O_APPEND descriptor.  An exclusive lock makes the header
+    check and the write one step for concurrent evaluations."""
     header = metrics_mod.MetricsReport.csv_header(report.wilcoxon_p is not None)
-    exists = os.path.exists(path)
-    text = ("" if exists else header + "\n") + report.csv_row() + "\n"
-    if exists:
-        with open(path, "a", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        atomic_write(path, text.encode())
+    fd = os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
+    try:
+        fcntl.flock(fd, fcntl.LOCK_EX)
+        text = ("" if os.fstat(fd).st_size else header + "\n") + report.csv_row() + "\n"
+        data = text.encode()
+        if os.write(fd, data) != len(data):
+            raise OSError(f"short write appending to {path}")
+    finally:
+        os.close(fd)  # also releases the lock
 
 
 def cmd_eval(settings) -> int:

@@ -17,6 +17,7 @@ independently written loop implementation can reproduce it bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product as iproduct
 from typing import Callable
 
@@ -106,6 +107,16 @@ def conv_nd_reference(x, K, stride: int = 1, temporal: bool = False) -> np.ndarr
 GATHER_CHUNK_BYTES = 8 << 20
 
 
+@lru_cache(maxsize=256)
+def _window_index(kernel: tuple[int, ...], out_extents: tuple[int, ...],
+                  strides: tuple[int, ...]) -> tuple[tuple[slice, ...], ...]:
+    """Per kernel offset (row-major), the index of its strided window into
+    the padded input [b, *padded, c]; built once per geometry."""
+    return tuple((slice(None),) + tuple(slice(k, k + (o - 1) * s + 1, s)
+                                        for k, o, s in zip(k_coord, out_extents, strides))
+                 for k_coord in iproduct(*map(range, kernel)))
+
+
 def conv_nd(x: Tensor, K: Tensor, stride: int = 1, temporal: bool = False) -> Tensor:
     """SAME-padded convolution over N = K.ndim - 2 in {2, 3, 4} axes.
 
@@ -136,29 +147,25 @@ def conv_nd(x: Tensor, K: Tensor, stride: int = 1, temporal: bool = False) -> Te
     if any(map(any, pads)):  # zeros plus a copy: much cheaper than np.pad per call
         xp = np.zeros(tuple(e + lo + hi for e, (lo, hi) in zip(xd.shape, pads)), xd.dtype)
         xp[inner] = xd
-    offsets = list(iproduct(*map(range, Kd.shape[:-2])))
-    K3d = Kd.reshape(len(offsets), cin, cout)
+    offset_index = _window_index(Kd.shape[:-2], out_extents, strides)
+    K3d = Kd.reshape(len(offset_index), cin, cout)
     per_sample = int(np.prod(out_extents))
     rows = batch * per_sample
-    chunk = max(1, GATHER_CHUNK_BYTES // (len(offsets) * per_sample * xd.itemsize))
+    chunk = max(1, GATHER_CHUNK_BYTES // (len(offset_index) * per_sample * xd.itemsize))
     chunks = [(b0, min(b0 + chunk, batch)) for b0 in range(0, batch, chunk)]
-
-    def window(arr, k_coord):
-        return arr[(slice(None),) + tuple(
-            slice(k, k + (o - 1) * s + 1, s) for k, o, s in zip(k_coord, out_extents, strides))]
 
     def columns(b0, b1):
         """[offset, row] windows of samples b0:b1 (1-channel input)."""
-        cols = np.empty((len(offsets), (b1 - b0) * per_sample), dtype=xd.dtype)
-        for oi, k_coord in enumerate(offsets):
-            cols[oi] = window(xp[b0:b1], k_coord).reshape(-1)
+        cols = np.empty((len(offset_index), (b1 - b0) * per_sample), dtype=xd.dtype)
+        for oi, index in enumerate(offset_index):
+            cols[oi] = xp[b0:b1][index].reshape(-1)
         return cols
 
     def windows():
         """(offset index, [rows, c_in] window) pairs, copied into one reused buffer."""
         buf = np.empty((batch,) + out_extents + (cin,), dtype=xd.dtype)
-        for oi, k_coord in enumerate(offsets):
-            np.copyto(buf, window(xp, k_coord))
+        for oi, index in enumerate(offset_index):
+            np.copyto(buf, xp[index])
             yield oi, buf.reshape(rows, cin)
 
     out2d = np.zeros((rows, cout), dtype=xd.dtype)
@@ -183,8 +190,8 @@ def conv_nd(x: Tensor, K: Tensor, stride: int = 1, temporal: bool = False) -> Te
             T._accumulate(K, dK)
         if x.requires_grad:
             dxp = np.zeros_like(xp)
-            for oi, k_coord in enumerate(offsets):
-                window(dxp, k_coord)[...] += (g2d @ K3d[oi].T).reshape(
+            for oi, index in enumerate(offset_index):
+                dxp[index] += (g2d @ K3d[oi].T).reshape(
                     (batch,) + out_extents + (cin,))
             T._accumulate(x, dxp[inner])
 

@@ -18,6 +18,7 @@ are assigned per experiment, never per sample.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 import struct
@@ -347,13 +348,56 @@ def generate_windowed(n_experiments: int, cfg: SimConfig, representation: str,
 # -- file format --------------------------------------------------------------------
 
 
-def atomic_write(path, payload: bytes) -> None:
-    """Write via a temp file in the same directory plus rename."""
+@contextlib.contextmanager
+def replacing(path):
+    """Yield a new binary temp file beside ``path``; rename it over ``path``
+    on success and remove it on failure.  Each call creates its own temp
+    name, so concurrent writers to one path never share a temp file."""
     path = os.fspath(path)
-    tmp = path + ".tmp"
-    with open(tmp, "wb") as fh:
+    tmp = f"{path}.{os.getpid()}.{os.urandom(4).hex()}.tmp"
+    fh = open(tmp, "xb")
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
+def atomic_write(path, payload: bytes) -> None:
+    """Write via a unique temp file in the same directory plus rename."""
+    with replacing(path) as fh:
         fh.write(payload)
-    os.replace(tmp, path)
+
+
+def bytes_left(fh) -> int:
+    """Bytes between the read position of an open binary file and its end."""
+    return os.fstat(fh.fileno()).st_size - fh.tell()
+
+
+def read_exact(fh, n: int) -> bytes:
+    """Exactly ``n`` bytes of an open binary file.  A count beyond the bytes
+    left raises ValueError before anything is read or allocated."""
+    left = bytes_left(fh)
+    if not 0 <= n <= left:
+        raise ValueError(f"file truncated: {n} bytes needed, {left} left")
+    data = fh.read(n)
+    if len(data) < n:
+        raise ValueError(f"file truncated: {n} bytes needed, {len(data)} read")
+    return data
+
+
+def unpack(fh, fmt: str) -> tuple:
+    return struct.unpack(fmt, read_exact(fh, struct.calcsize(fmt)))
+
+
+class _Fields(dict):
+    """Header fields of one experiment; a missing field is a format error."""
+
+    def __missing__(self, key):
+        raise ValueError(f"dataset file lacks header field {key!r}")
 
 
 def _meta_fields(exp: Experiment, cfg: SimConfig) -> list[str]:
@@ -393,28 +437,28 @@ def encode_experiment(exp: Experiment, cfg: SimConfig) -> bytes:
 
 
 def _decode_experiment(fh) -> tuple[dict[str, str], Experiment]:
-    def need(count):
-        raw = fh.read(count)
-        if len(raw) < count:
-            raise ValueError("dataset file truncated")
-        return raw
-
-    n_fields = struct.unpack("<I", need(4))[0]
-    info: dict[str, str] = {}
+    (n_fields,) = unpack(fh, "<I")
+    if 4 * n_fields > bytes_left(fh):  # each field has a 4-byte length
+        raise ValueError(f"dataset file truncated: {n_fields} fields declared")
+    info = _Fields()
     for _ in range(n_fields):
-        length = struct.unpack("<I", need(4))[0]
-        key, _, value = need(length).decode("utf-8").partition("=")
+        (length,) = unpack(fh, "<I")
+        key, _, value = read_exact(fh, length).decode("utf-8").partition("=")
         info[key] = value
     h, w, d_raw = int(info["h"]), int(info["w"]), int(info["d_raw"])
-    n = struct.unpack("<I", need(4))[0]
+    if min(h, w, d_raw) < 1:
+        raise ValueError(f"bad volume extents {h}x{w}x{d_raw} in dataset file")
+    (n,) = unpack(fh, "<I")
+    vol_bytes = h * w * d_raw * 4
+    if n * (12 + vol_bytes) > bytes_left(fh):
+        raise ValueError(f"dataset file truncated: {n} samples of {h}x{w}x{d_raw} "
+                         "declared")
     timestamps = np.empty(n, dtype=np.float64)
     forces = np.empty(n, dtype=np.float32)
     volumes = np.empty((n, h, w, d_raw), dtype=np.float32)
-    vol_bytes = h * w * d_raw * 4
     for i in range(n):
-        timestamps[i] = struct.unpack("<d", need(8))[0]
-        forces[i] = struct.unpack("<f", need(4))[0]
-        volumes[i] = np.frombuffer(need(vol_bytes), dtype="<f4").reshape(h, w, d_raw)
+        timestamps[i], forces[i] = unpack(fh, "<df")
+        volumes[i] = np.frombuffer(read_exact(fh, vol_bytes), dtype="<f4").reshape(h, w, d_raw)
     params = {k.split(".", 1)[1]: float(v) for k, v in info.items()
               if k.startswith("param.")}
     meta = ExperimentMeta(
@@ -471,12 +515,14 @@ def load_dataset(path) -> Dataset:
         magic = fh.read(len(MAGIC))
         if magic != MAGIC:
             raise ValueError(f"not a dataset file: bad magic {magic!r}")
-        version = struct.unpack("<I", fh.read(4))[0]
+        (version,) = unpack(fh, "<I")
         if version != FORMAT_VERSION:
             raise ValueError(f"unsupported dataset format version {version}")
-        n_exp = struct.unpack("<I", fh.read(4))[0]
+        (n_exp,) = unpack(fh, "<I")
+        if 8 * n_exp > bytes_left(fh):  # field and sample counts, 4 bytes each
+            raise ValueError(f"dataset file truncated: {n_exp} experiments declared")
         experiments = []
-        info: dict[str, str] = {}
+        info: dict[str, str] = _Fields()
         for _ in range(n_exp):
             info, exp = _decode_experiment(fh)
             experiments.append(exp)
@@ -500,10 +546,8 @@ def write_dataset_streamed(path, n_experiments: int, cfg: SimConfig,
         raise ValueError("need at least 3 experiments to populate train/val/test")
     assignments = experiment_splits(n_experiments, split_fractions)
     seeds = np.random.SeedSequence(cfg.trajectory.seed).spawn(n_experiments)
-    path = os.fspath(path)
-    tmp = path + ".tmp"
     split_sizes = []
-    with open(tmp, "wb") as fh:
+    with replacing(path) as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", FORMAT_VERSION))
         fh.write(struct.pack("<I", n_experiments))
@@ -511,6 +555,5 @@ def write_dataset_streamed(path, n_experiments: int, cfg: SimConfig,
             exp = generate_experiment(cfg, i, assignments[i], seeds[i])
             fh.write(encode_experiment(exp, cfg))
             split_sizes.append((exp.meta.split, len(exp.forces)))
-    os.replace(tmp, path)
     write_sidecar(path, cfg, split_sizes)
     return split_sizes

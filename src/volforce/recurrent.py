@@ -7,6 +7,22 @@ hidden-to-hidden paths are normalized separately by recurrent batch
 normalization before summing; the reset-gated candidate path U_h(r * h)
 is left unnormalized.  Hidden states start at zero.
 
+Each step applies the gate maps fused.  The input-side weights of all
+gates, concatenated along output channels (w_z|w_r|w_h, or w_i|w_f|w_o|w_g),
+make one map of x_t; the normalized hidden-side weights (u_z|u_r, or all
+four u_*) make one map of h_prev; U_h(r * h) stays its own map.  Each
+fused map is normalized by one RecurrentBatchNorm call whose gamma, beta
+and running statistics are the per-gate norms' own, concatenated.  The
+statistics are per channel, so this equals normalizing each gate on its
+own; the updated statistics go back into each gate's slots.
+
+A state of ``None`` is the zero state, where ``unroll`` starts when given
+no ``h0``.  Its hidden-side maps are known to be zero and are skipped:
+the norm runs on a zero tensor of unit spatial extent, which is the
+closed form of a norm of zeros.  In training that is beta, and the
+running statistics record batch mean 0 and variance 0 as for the map; in
+eval it is (0 - running_mean) / sqrt(running_var + eps) * gamma + beta.
+
 Recurrent batch normalization keeps separate running statistics per
 timestep up to ``t_cap`` (statistics for t >= t_cap are shared) and
 initializes the gain at 0.1.
@@ -16,6 +32,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from volforce import ops
 from volforce import tensor as T
 from volforce.tensor import Tensor
 
@@ -43,6 +60,25 @@ class RecurrentBatchNorm:
         self.beta = Tensor(np.zeros(channels, dtype=T.default_dtype()), requires_grad=True)
         self.running_mean = np.zeros((t_cap + 1, channels), dtype=np.float64)
         self.running_var = np.ones((t_cap + 1, channels), dtype=np.float64)
+
+    @classmethod
+    def joined(cls, parts: list[RecurrentBatchNorm]) -> RecurrentBatchNorm:
+        """One norm over the parts' channels, concatenated in order.
+
+        gamma and beta are joined in the graph, so gradients reach the
+        parts; momentum, eps and running statistics are per-channel
+        copies, which the caller writes back after a training call.
+        """
+        norm = cls.__new__(cls)
+        norm.channels = sum(p.channels for p in parts)
+        norm.t_cap = parts[0].t_cap
+        norm.momentum = np.concatenate([np.full(p.channels, p.momentum) for p in parts])
+        norm.eps = np.concatenate([np.full(p.channels, p.eps) for p in parts])
+        norm.gamma = T.concat([p.gamma for p in parts])
+        norm.beta = T.concat([p.beta for p in parts])
+        norm.running_mean = np.concatenate([p.running_mean for p in parts], axis=1)
+        norm.running_var = np.concatenate([p.running_var for p in parts], axis=1)
+        return norm
 
     def _slot(self, t: int) -> int:
         if t < 0:
@@ -79,27 +115,58 @@ class RecurrentBatchNorm:
         yield prefix + "running_var", self.running_var
 
 
-def _gate_weights(shapes: dict[str, tuple[int, ...]], init) -> dict[str, Tensor]:
-    return {name: Tensor(init(shape), requires_grad=True) for name, shape in shapes.items()}
-
-
 class _CellBase:
-    """Shared plumbing: weight registry, BN registry, linear/conv gate maps."""
+    """Weights, norms and the fused gate maps shared by the four cells.
+
+    ``gates`` lists the gates in fused channel order and ``u_gates`` those
+    whose hidden-side map is fused and normalized.  ``kernel`` holds the
+    leading weight axes of one gate map: none for a matrix product.  Steps
+    map the hidden side before the input side; the other order was measured
+    to fragment the allocator's heap and raise the peak RSS of the layers
+    after the cell at batch 64.
+    """
 
     gate_names: tuple[str, ...] = ()
     bn_names: tuple[str, ...] = ()
+    gates: tuple[str, ...] = ()
+    u_gates: tuple[str, ...] = ()
+    kernel: tuple[int, ...] = ()
 
-    def __init__(self, t_cap: int):
-        self.weights: dict[str, Tensor] = {}
-        self.bns: dict[str, RecurrentBatchNorm] = {}
+    def __init__(self, in_size: int, hidden: int, init, t_cap: int = T_CAP_DEFAULT):
+        self.in_size = in_size
+        self.hidden = hidden
         self.t_cap = t_cap
+        self.weights = {
+            name: Tensor(init(self.kernel + ((in_size if name[0] == "w" else hidden), hidden)),
+                         requires_grad=True)
+            for name in self.gate_names}
+        self.bns = {name: RecurrentBatchNorm(hidden, t_cap=t_cap) for name in self.bn_names}
 
-    def _apply(self, name: str, x: Tensor) -> Tensor:
-        raise NotImplementedError
+    def _map(self, x: Tensor, w: Tensor) -> Tensor:
+        return T.matmul(x, w)
 
-    def _make_bns(self, hidden: int):
-        for name in self.bn_names:
-            self.bns[name] = RecurrentBatchNorm(hidden, t_cap=self.t_cap)
+    def _fused(self, side: str, x: Tensor | None, t: int, training: bool,
+               like: Tensor) -> Tensor:
+        """Normalized pre-activations of one side's gates, concatenated along
+        channels; ``x`` None is the zero state (no map, see the module doc)."""
+        gates = self.gates if side == "w" else self.u_gates
+        if x is None:
+            pre = Tensor.zeros(like.shape[:1] + (1,) * (like.ndim - 2)
+                               + (len(gates) * self.hidden,))
+        else:
+            pre = self._map(x, T.concat([self.weights[f"{side}_{g}"] for g in gates], -1))
+        parts = [self.bns[side + g] for g in gates]
+        norm = RecurrentBatchNorm.joined(parts)
+        out = norm(pre, t, training)
+        if training:
+            for i, part in enumerate(parts):
+                cols = slice(i * self.hidden, (i + 1) * self.hidden)
+                part.running_mean[:] = norm.running_mean[:, cols]
+                part.running_var[:] = norm.running_var[:, cols]
+        return out
+
+    def _gate(self, fused: Tensor, i: int) -> Tensor:
+        return fused[..., i * self.hidden:(i + 1) * self.hidden]
 
     def named_params(self, prefix: str = ""):
         for name in self.gate_names:
@@ -111,9 +178,6 @@ class _CellBase:
         for name in self.bn_names:
             yield from self.bns[name].named_buffers(prefix + "bn_" + name + ".")
 
-    def param_count(self) -> int:
-        return sum(p.size for _, p in self.named_params())
-
 
 class GRUCell(_CellBase):
     """Vector GRU step with recurrent batch normalization.
@@ -124,32 +188,21 @@ class GRUCell(_CellBase):
 
     gate_names = ("w_z", "u_z", "w_r", "u_r", "w_h", "u_h")
     bn_names = ("wz", "uz", "wr", "ur", "wh")
-
-    def __init__(self, in_size: int, hidden: int, init, t_cap: int = T_CAP_DEFAULT):
-        super().__init__(t_cap)
-        self.in_size = in_size
-        self.hidden = hidden
-        self.weights = _gate_weights({
-            "w_z": (in_size, hidden), "u_z": (hidden, hidden),
-            "w_r": (in_size, hidden), "u_r": (hidden, hidden),
-            "w_h": (in_size, hidden), "u_h": (hidden, hidden),
-        }, init)
-        self._make_bns(hidden)
-
-    def _apply(self, name: str, x: Tensor) -> Tensor:
-        return T.matmul(x, self.weights[name])
+    gates = ("z", "r", "h")
+    u_gates = ("z", "r")
 
     def initial_state(self, x_t: Tensor) -> Tensor:
         return Tensor.zeros(x_t.shape[:-1] + (self.hidden,))
 
-    def step(self, x_t: Tensor, h_prev: Tensor, t: int, training: bool) -> Tensor:
-        bn = self.bns
-        z = T.sigmoid(bn["wz"](self._apply("w_z", x_t), t, training)
-                      + bn["uz"](self._apply("u_z", h_prev), t, training))
-        r = T.sigmoid(bn["wr"](self._apply("w_r", x_t), t, training)
-                      + bn["ur"](self._apply("u_r", h_prev), t, training))
-        cand = T.tanh(bn["wh"](self._apply("w_h", x_t), t, training)
-                      + self._apply("u_h", r * h_prev))
+    def step(self, x_t: Tensor, h_prev: Tensor | None, t: int, training: bool) -> Tensor:
+        """One timestep; ``h_prev`` None is the zero state."""
+        uh = self._fused("u", h_prev, t, training, x_t)
+        wx = self._fused("w", x_t, t, training, x_t)
+        z = T.sigmoid(self._gate(wx, 0) + self._gate(uh, 0))
+        if h_prev is None:
+            return z * T.tanh(self._gate(wx, 2))
+        r = T.sigmoid(self._gate(wx, 1) + self._gate(uh, 1))
+        cand = T.tanh(self._gate(wx, 2) + self._map(r * h_prev, self.weights["u_h"]))
         return (1.0 - z) * h_prev + z * cand
 
 
@@ -161,105 +214,66 @@ class LSTMCell(_CellBase):
 
     gate_names = ("w_i", "u_i", "w_f", "u_f", "w_o", "u_o", "w_g", "u_g")
     bn_names = ("wi", "ui", "wf", "uf", "wo", "uo", "wg", "ug")
-
-    def __init__(self, in_size: int, hidden: int, init, t_cap: int = T_CAP_DEFAULT):
-        super().__init__(t_cap)
-        self.in_size = in_size
-        self.hidden = hidden
-        self.weights = _gate_weights({
-            name: ((in_size if name.startswith("w") else hidden), hidden)
-            for name in self.gate_names
-        }, init)
-        self._make_bns(hidden)
-
-    def _apply(self, name: str, x: Tensor) -> Tensor:
-        return T.matmul(x, self.weights[name])
+    gates = u_gates = ("i", "f", "o", "g")
 
     def initial_state(self, x_t: Tensor):
         shape = x_t.shape[:-1] + (self.hidden,)
         return (Tensor.zeros(shape), Tensor.zeros(shape))
 
     def step(self, x_t: Tensor, state, t: int, training: bool):
-        h_prev, c_prev = state
-        bn = self.bns
+        """One timestep; ``state`` is (h, c), or None for the zero state."""
+        h_prev, c_prev = (None, None) if state is None else state
+        uh = self._fused("u", h_prev, t, training, x_t)
+        wx = self._fused("w", x_t, t, training, x_t)
 
-        def path(gate: str) -> Tensor:
-            return (bn["w" + gate](self._apply("w_" + gate, x_t), t, training)
-                    + bn["u" + gate](self._apply("u_" + gate, h_prev), t, training))
+        def pre(gate: int) -> Tensor:
+            return self._gate(wx, gate) + self._gate(uh, gate)
 
-        i = T.sigmoid(path("i"))
-        f = T.sigmoid(path("f"))
-        o = T.sigmoid(path("o"))
-        g = T.tanh(path("g"))
-        c_t = f * c_prev + i * g
+        i, o, g = T.sigmoid(pre(0)), T.sigmoid(pre(2)), T.tanh(pre(3))
+        c_t = i * g if c_prev is None else T.sigmoid(pre(1)) * c_prev + i * g
         return o * T.tanh(c_t), c_t
 
 
-class ConvGRUCell(GRUCell):
+class _ConvMaps:
+    """Gate maps as SAME-padded convolutions over 2 or 3 spatial axes."""
+
+    def __init__(self, in_channels: int, hidden: int, n_spatial: int, init,
+                 k: int = 3, t_cap: int = T_CAP_DEFAULT):
+        self.n_spatial = n_spatial
+        self.k = k
+        self.kernel = (k,) * n_spatial
+        super().__init__(in_channels, hidden, init, t_cap)
+
+    def _map(self, x: Tensor, w: Tensor) -> Tensor:
+        if x.ndim != self.n_spatial + 2:
+            raise ValueError(f"expected {self.n_spatial} spatial axes, got input {x.shape}")
+        return ops.conv_spatial(x, w, stride=1)
+
+
+class ConvGRUCell(_ConvMaps, GRUCell):
     """GRU whose gate maps are SAME-padded convolutions over 2 or 3 spatial axes."""
 
-    def __init__(self, in_channels: int, hidden: int, n_spatial: int, init,
-                 k: int = 3, t_cap: int = T_CAP_DEFAULT):
-        self.n_spatial = n_spatial
-        self.k = k
-        _CellBase.__init__(self, t_cap)
-        self.in_size = in_channels
-        self.hidden = hidden
-        kern = (k,) * n_spatial
-        self.weights = _gate_weights({
-            name: kern + ((in_channels if name.startswith("w") else hidden), hidden)
-            for name in self.gate_names
-        }, init)
-        self._make_bns(hidden)
 
-    def _apply(self, name: str, x: Tensor) -> Tensor:
-        from volforce.ops import conv_spatial
-        if x.ndim != self.n_spatial + 2:
-            raise ValueError(f"expected {self.n_spatial} spatial axes, got input {x.shape}")
-        return conv_spatial(x, self.weights[name], stride=1)
-
-
-class ConvLSTMCell(LSTMCell):
+class ConvLSTMCell(_ConvMaps, LSTMCell):
     """LSTM whose gate maps are SAME-padded convolutions over 2 or 3 spatial axes."""
-
-    def __init__(self, in_channels: int, hidden: int, n_spatial: int, init,
-                 k: int = 3, t_cap: int = T_CAP_DEFAULT):
-        self.n_spatial = n_spatial
-        self.k = k
-        _CellBase.__init__(self, t_cap)
-        self.in_size = in_channels
-        self.hidden = hidden
-        kern = (k,) * n_spatial
-        self.weights = _gate_weights({
-            name: kern + ((in_channels if name.startswith("w") else hidden), hidden)
-            for name in self.gate_names
-        }, init)
-        self._make_bns(hidden)
-
-    def _apply(self, name: str, x: Tensor) -> Tensor:
-        from volforce.ops import conv_spatial
-        if x.ndim != self.n_spatial + 2:
-            raise ValueError(f"expected {self.n_spatial} spatial axes, got input {x.shape}")
-        return conv_spatial(x, self.weights[name], stride=1)
 
 
 def unroll(cell, x_seq: Tensor, h0=None, return_sequence: bool = False,
            training: bool = False):
     """Run a cell over [b, p, ...] input; gradients flow through all steps.
 
-    Returns the last hidden state, or the stacked per-step hidden states
-    when ``return_sequence`` is set.  LSTM cell states are threaded
-    internally and not returned.
+    Starts from ``h0``, or from the zero state when it is None.  Returns
+    the last hidden state, or the stacked per-step hidden states when
+    ``return_sequence`` is set.  LSTM cell states are threaded internally
+    and not returned.
     """
     p = x_seq.shape[1]
     if p < 1:
         raise ValueError("sequence length must be >= 1")
-    x0 = x_seq[:, 0]
-    state = cell.initial_state(x0) if h0 is None else h0
+    state = h0
     outputs = []
     for t in range(p):
-        x_t = x_seq[:, t] if t > 0 else x0
-        state = cell.step(x_t, state, t, training)
+        state = cell.step(x_seq[:, t], state, t, training)
         if return_sequence:
             outputs.append(state[0] if isinstance(state, tuple) else state)
     if return_sequence:

@@ -360,12 +360,13 @@ def getitem(a: Tensor, index) -> Tensor:
                 (index if isinstance(index, tuple) else (index,)))
 
     def backward_fn(g):
-        full = np.zeros_like(a.data)
+        # accumulate in place, so slices of one tensor share one gradient buffer
+        if a.grad is None:
+            a.grad = np.zeros_like(a.data)
         if fancy:
-            np.add.at(full, index, g)  # repeated indices must accumulate
+            np.add.at(a.grad, index, g)  # repeated indices must accumulate
         else:
-            full[index] += g
-        _accumulate(a, full)
+            a.grad[index] += g
 
     return _make(np.ascontiguousarray(out_data), (a,), backward_fn)
 

@@ -149,6 +149,34 @@ class TestParamCounts:
         assert net.param_count() == sum(p.size for _, p in net.named_params())
 
 
+class TestBenchmarkPatchPoints:
+    def test_tracer_names_see_the_recurrent_cell(self, rng, monkeypatch):
+        # the benchmark's tracer wraps these names from outside the package;
+        # a cell that called around them would silently blind its counts
+        from volforce import ops, recurrent
+
+        assert A.unroll is recurrent.unroll
+        net = A.build(_tiny("convrnn_resnet", "4d-st", "gru", base_channels=6, history=3))
+        kernels, norms = [], []
+        conv_spatial, norm_call = ops.conv_spatial, recurrent.RecurrentBatchNorm.__call__
+
+        def counted_conv(x, K, stride=1):
+            kernels.append(K.shape[-2:])
+            return conv_spatial(x, K, stride)
+
+        def counted_norm(self, *args):
+            norms.append(self)
+            return norm_call(self, *args)
+
+        monkeypatch.setattr(ops, "conv_spatial", counted_conv)
+        monkeypatch.setattr(recurrent.RecurrentBatchNorm, "__call__", counted_norm)
+        net.forward(rng.normal(size=(2, 3, 4, 4, 4, 1)).astype(np.float32), training=True)
+        # hidden 4: fused w_z|w_r|w_h (1 -> 12) per step, u_z|u_r (4 -> 8) and
+        # u_h (4 -> 4) on the two steps after the zero state
+        assert (kernels.count((1, 12)), kernels.count((4, 8)), kernels.count((4, 4))) == (3, 2, 2)
+        assert len(norms) == 6
+
+
 class TestConfigValidation:
     def test_capacity_presets(self):
         assert A.ModelConfig("resnet", "3d-st", capacity="wide").channels() == 32

@@ -1,11 +1,14 @@
 import hashlib
 import json
 import os
+import sys
+import threading
 
 import numpy.testing as npt
 
 from volforce import architectures as A
 from volforce import cli
+from volforce import metrics
 
 from helpers import rewrite_checkpoint_config
 
@@ -147,6 +150,51 @@ class TestEval:
             err = capsys.readouterr().err
             assert rc == 1, path
             assert err.startswith("error:") and len(err.strip().splitlines()) == 1, err
+
+
+    def test_cut_dataset_prints_error_not_traceback(self, tmp_path, capsys):
+        ds = _gen(tmp_path, experiments="3")
+        ckpt, _ = _train(tmp_path, ds)
+        data = ds.read_bytes()
+        for n in (10, 14):
+            cut = tmp_path / f"cut{n}.oct4d"
+            cut.write_bytes(data[:n])
+            rc = cli.main(["eval", "--dataset", str(cut), "--checkpoint", str(ckpt),
+                           "--d-out", "8", "--out", str(tmp_path / "ev")])
+            err = capsys.readouterr().err
+            assert rc == 1, n
+            assert err.startswith("error:") and len(err.strip().splitlines()) == 1, err
+
+
+class TestAppendReport:
+    def test_concurrent_appends_keep_one_header_and_every_row(self, tmp_path):
+        path = tmp_path / "metrics.csv"
+        workers, rows_each = 8, 25
+        start = threading.Barrier(workers)
+
+        def append(w):
+            start.wait(timeout=60)  # all writers race for the first row
+            for i in range(rows_each):
+                report = metrics.MetricsReport(f"run{w}_{i}", "a", "r", 2, 0, 1.0, 0.5,
+                                               1.5, 0.1, 0.9, 0.8, 10)
+                cli._append_report(str(path), report)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=append, args=(w,)) for w in range(workers)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        lines = path.read_text().splitlines()
+        assert lines[0] == metrics.MetricsReport.csv_header(False)
+        assert sorted(line.split(",")[0] for line in lines[1:]) == sorted(
+            f"run{w}_{i}" for w in range(workers) for i in range(rows_each))
+        assert all(len(line.split(",")) == 12 for line in lines[1:])
 
 
 class TestSweep:

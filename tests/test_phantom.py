@@ -1,4 +1,5 @@
 import math
+import os
 import struct
 
 import numpy as np
@@ -238,6 +239,30 @@ class TestFileFormat:
         path.write_bytes(blob[:-100])
         with pytest.raises(ValueError, match="truncated"):
             P.load_dataset(path)
+
+    def test_stale_temp_name_does_not_break_writes(self, tmp_path):
+        # a crashed or concurrent writer may leave "<path>.tmp" behind
+        path = tmp_path / "ds.oct4d"
+        (tmp_path / "ds.oct4d.tmp").mkdir()
+        P.write_dataset_streamed(path, 3, _small_cfg(n=4), (0.4, 0.3, 0.3))
+        P.atomic_write(tmp_path / "ds.oct4d.meta.txt", b"sidecar")
+        assert len(P.load_dataset(path).experiments) == 3
+        assert (tmp_path / "ds.oct4d.tmp").is_dir()
+
+    def test_failed_write_leaves_no_temp_file(self, tmp_path, monkeypatch):
+        with pytest.raises(TypeError):
+            P.atomic_write(tmp_path / "x.bin", "text, not bytes")
+        generate = P.generate_experiment
+
+        def fail_after_first(cfg, i, *args):
+            if i > 0:
+                raise RuntimeError("generation failed")
+            return generate(cfg, i, *args)
+
+        monkeypatch.setattr(P, "generate_experiment", fail_after_first)
+        with pytest.raises(RuntimeError):
+            P.write_dataset_streamed(tmp_path / "ds.oct4d", 3, _small_cfg(n=4))
+        assert os.listdir(tmp_path) == []
 
     def test_version_mismatch_rejected(self, tmp_path):
         ds = P.generate_dataset(3, _small_cfg(n=4), (0.4, 0.3, 0.3))

@@ -308,6 +308,140 @@ class TestInvariants:
                             + 5 * 2 * hidden)  # 5 BN gamma/beta pairs
             lstm_expected = (4 * (in_size * hidden + hidden * hidden)
                              + 8 * 2 * hidden)
-            assert gru.param_count() == gru_expected
-            assert lstm.param_count() == lstm_expected
-            assert gru.param_count() < lstm.param_count()
+            gru_count = sum(p.size for _, p in gru.named_params())
+            lstm_count = sum(p.size for _, p in lstm.named_params())
+            assert gru_count == gru_expected
+            assert lstm_count == lstm_expected
+            assert gru_count < lstm_count
+
+
+# -- fused gate maps against a per-gate reference ------------------------------------
+
+_P = 3  # timesteps; with t_cap 2 the last one uses the shared statistics slot
+
+
+def _make_cell(kind, rng):
+    init, t_cap = _init(rng), 2
+    return {
+        "gru": lambda: R.GRUCell(3, 4, init, t_cap=t_cap),
+        "lstm": lambda: R.LSTMCell(3, 4, init, t_cap=t_cap),
+        "convgru": lambda: R.ConvGRUCell(2, 3, 3, init, t_cap=t_cap),
+        "convlstm": lambda: R.ConvLSTMCell(2, 3, 2, init, t_cap=t_cap),
+    }[kind]()
+
+
+def _input_seq(kind, rng):
+    lead = (2, _P)
+    return rng.normal(size={"gru": lead + (3,), "lstm": lead + (3,),
+                            "convgru": lead + (3, 3, 3, 2),
+                            "convlstm": lead + (4, 4, 2)}[kind])
+
+
+def _perturb_norms(cell, rng):
+    # nontrivial gains, shifts and running statistics in every slot
+    for bn in cell.bns.values():
+        bn.gamma.data[:] = rng.uniform(0.5, 1.5, size=bn.channels)
+        bn.beta.data[:] = rng.normal(size=bn.channels) * 0.3
+        bn.running_mean[:] = rng.normal(size=bn.running_mean.shape) * 0.5
+        bn.running_var[:] = rng.uniform(0.5, 2.0, size=bn.running_var.shape)
+
+
+def _reference_unroll(cell, x, training, return_sequence, h0=None, c0=None):
+    """One map and one norm per gate per timestep, from the numpy oracles
+    (``conv_nd_reference``, ``_bn_train_oracle``, ``_sig``), on copies of the
+    running statistics; returns (output, {bn name: (mean, var)})."""
+    stats = {n: (bn.running_mean.copy(), bn.running_var.copy()) for n, bn in cell.bns.items()}
+    w = {k: v.data for k, v in cell.weights.items()}
+    conv = isinstance(cell, (R.ConvGRUCell, R.ConvLSTMCell))
+
+    def fmap(a, name):
+        return ops.conv_nd_reference(a, w[name]) if conv else a @ w[name]
+
+    def norm(name, pre, t):
+        bn, (rm, rv) = cell.bns[name], stats[name]
+        slot = min(t, bn.t_cap)
+        if not training:
+            return (pre - rm[slot]) / np.sqrt(rv[slot] + bn.eps) * bn.gamma.data + bn.beta.data
+        axes = tuple(range(pre.ndim - 1))
+        mu = pre.mean(axis=axes)
+        rm[slot] += bn.momentum * (mu - rm[slot])
+        rv[slot] += bn.momentum * (((pre - mu) ** 2).mean(axis=axes) - rv[slot])
+        return _bn_train_oracle(pre, bn)
+
+    shape = x.shape[:1] + x.shape[2:-1] + (cell.hidden,)
+    h = np.zeros(shape) if h0 is None else h0
+    c = np.zeros(shape) if c0 is None else c0
+    outputs = []
+    for t in range(x.shape[1]):
+        xt = x[:, t]
+
+        def path(g):
+            return norm("w" + g, fmap(xt, "w_" + g), t) + norm("u" + g, fmap(h, "u_" + g), t)
+
+        if isinstance(cell, R.LSTMCell):
+            i, f, o, g = _sig(path("i")), _sig(path("f")), _sig(path("o")), np.tanh(path("g"))
+            c = f * c + i * g
+            h = o * np.tanh(c)
+        else:
+            z, r = _sig(path("z")), _sig(path("r"))
+            cand = np.tanh(norm("wh", fmap(xt, "w_h"), t) + fmap(r * h, "u_h"))
+            h = (1 - z) * h + z * cand
+        outputs.append(h)
+    return (np.stack(outputs, axis=1) if return_sequence else h), stats
+
+
+def _count_calls(monkeypatch, owner, attr):
+    calls = []
+    inner = getattr(owner, attr)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(owner, attr, counted)
+    return calls
+
+
+class TestFusedGates:
+    @pytest.mark.parametrize("return_sequence", [False, True])
+    @pytest.mark.parametrize("training", [True, False])
+    @pytest.mark.parametrize("kind", ["gru", "lstm", "convgru", "convlstm"])
+    def test_zero_state_unroll_matches_per_gate_reference(self, rng, kind, training,
+                                                          return_sequence):
+        with T.use_dtype(np.float64):
+            cell = _make_cell(kind, rng)
+            _perturb_norms(cell, rng)
+            x = _input_seq(kind, rng)
+            expected, stats = _reference_unroll(cell, x, training, return_sequence)
+            got = R.unroll(cell, Tensor(x), return_sequence=return_sequence,
+                           training=training).data
+            npt.assert_allclose(got, expected, rtol=0, atol=1e-12)
+            for name, bn in cell.bns.items():
+                npt.assert_allclose(bn.running_mean, stats[name][0], rtol=0, atol=1e-12)
+                npt.assert_allclose(bn.running_var, stats[name][1], rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("kind", ["gru", "lstm", "convgru", "convlstm"])
+    def test_nonzero_h0_takes_the_map_path(self, rng, kind, monkeypatch):
+        with T.use_dtype(np.float64):
+            cell = _make_cell(kind, rng)
+            x = _input_seq(kind, rng)
+            h0 = rng.normal(size=x.shape[:1] + x.shape[2:-1] + (cell.hidden,))
+            c0 = rng.normal(size=h0.shape) if "lstm" in kind else None
+            state = Tensor(h0) if c0 is None else (Tensor(h0), Tensor(c0))
+            expected, _ = _reference_unroll(cell, x, True, False, h0, c0)
+            maps = _count_calls(monkeypatch, ops, "conv_spatial")
+            got = R.unroll(cell, Tensor(x), h0=state, training=True).data
+            npt.assert_allclose(got, expected, rtol=0, atol=1e-12)
+            if kind.startswith("conv"):
+                per_step = 3 if kind == "convgru" else 2
+                assert len(maps) == per_step * _P
+
+    @pytest.mark.parametrize("p", [1, 2, 5])
+    def test_conv_gru_map_count(self, rng, p, monkeypatch):
+        cell = R.ConvGRUCell(1, 4, 3, _init(rng))
+        x = Tensor(rng.normal(size=(2, p, 4, 4, 4, 1)).astype(np.float32))
+        maps = _count_calls(monkeypatch, ops, "conv_spatial")
+        norms = _count_calls(monkeypatch, R.RecurrentBatchNorm, "__call__")
+        R.unroll(cell, x, training=True)
+        assert len(maps) == 1 + 3 * (p - 1)
+        assert len(norms) == 2 * p

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -126,6 +128,21 @@ class TestBackward:
             assert a.grad.shape == a.shape
             assert b.grad.shape == b.shape
 
+    def test_channel_slices_share_one_gradient_buffer(self):
+        # a fused gate map is split into per-gate channel slices; their
+        # backward must not allocate a full-size zero buffer per slice
+        a = Tensor(np.ones((64, 4096, 12), dtype=np.float32), requires_grad=True)
+        loss = T.tsum(a[..., 0:1])
+        for i in range(1, 12):
+            loss = loss + T.tsum(a[..., i:i + 1] * float(i + 1))
+        tracemalloc.start()
+        try:
+            T.backward(loss)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        npt.assert_array_equal(a.grad, np.broadcast_to(np.arange(1.0, 13.0), a.shape))
+        assert peak < 1.5 * a.data.nbytes  # the gradient itself plus the slices' own
 
 class TestFiniteDiffCheck:
     def test_quadratic(self):
