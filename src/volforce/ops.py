@@ -238,7 +238,8 @@ class BatchNorm:
     (population variance); inference mode uses the running statistics.
     The 1e-3 epsilon keeps inference well conditioned when a channel's
     batch variance collapses during training (a closed recurrent gate
-    upstream can drive it arbitrarily close to zero).
+    upstream can drive it arbitrarily close to zero).  ``momentum`` and
+    ``eps`` may be per-channel arrays.
     """
 
     def __init__(self, channels: int, momentum: float = 0.1, eps: float = 1e-3,
@@ -264,25 +265,53 @@ class BatchNorm:
         yield prefix + "running_var", self.running_var
 
 
-def batch_norm(x: Tensor, state: BatchNorm, training: bool) -> Tensor:
+def batch_norm(x: Tensor, state: BatchNorm, training: bool, slot: int = 0) -> Tensor:
+    """Normalize ``x`` with ``state``: one autodiff primitive over x, gamma, beta.
+
+    ``slot`` picks the row of running statistics when they are kept per
+    timestep ([slots, c]); plain [c] statistics have only slot 0.  The
+    forward evaluates the two-pass expression (mean as a sum times 1/n,
+    then the mean of squared deviations); the backward is the closed form
+    and keeps only x_hat and sigma.
+    """
     if x.shape[-1] != state.channels:
         raise ValueError(f"expected {state.channels} channels, got {x.shape[-1]}")
     axes = tuple(range(x.ndim - 1))
+    dt = T.default_dtype()
+    inv_n = np.asarray(1.0 / (x.size // state.channels), dt)
+    # views: updates in place reach the state's arrays
+    running_mean = np.atleast_2d(state.running_mean)[slot]
+    running_var = np.atleast_2d(state.running_var)[slot]
     if training:
         if x.shape[0] < 2:
             raise ValueError("batch norm in training mode needs batch size >= 2")
-        mu = T.tmean(x, axis=axes, keepdims=True)
-        var = T.tmean((x - mu) ** 2.0, axis=axes, keepdims=True)
+        mu = x.data.sum(axis=axes, keepdims=True) * inv_n
+        var = ((x.data - mu) ** 2.0).sum(axis=axes, keepdims=True) * inv_n
         m = state.momentum
-        state.running_mean += m * (mu.data.reshape(-1) - state.running_mean)
-        state.running_var += m * (var.data.reshape(-1) - state.running_var)
-        xn = (x - mu) / T.sqrt(var + state.eps)
+        running_mean += m * (mu.reshape(-1) - running_mean)
+        running_var += m * (var.reshape(-1) - running_var)
+        sigma = np.sqrt(var + np.asarray(state.eps, dt))
     else:
-        shape = (1,) * (x.ndim - 1) + (state.channels,)
-        mu = Tensor(state.running_mean.reshape(shape))
-        sd = Tensor(np.sqrt(state.running_var + state.eps).reshape(shape))
-        xn = (x - mu) / sd
-    return xn * state.gamma + state.beta
+        mu = np.asarray(running_mean, dt)
+        sigma = np.asarray(np.sqrt(running_var + state.eps), dt)
+    # the op-by-op norm's expressions in its order: bit-identical outputs
+    x_hat = (x.data - mu) / sigma
+    gamma, beta = state.gamma, state.beta
+    out = x_hat * gamma.data + beta.data
+
+    def backward_fn(g):
+        dbeta = g.sum(axis=axes)
+        dgamma = (g * x_hat).sum(axis=axes)
+        if x.requires_grad:
+            if training:  # dx = gamma/sigma * (g - mean g - x_hat * mean(g x_hat))
+                g = g - dbeta * inv_n - x_hat * (dgamma * inv_n)
+            T._accumulate(x, g * (gamma.data / sigma))
+        if gamma.requires_grad:
+            T._accumulate(gamma, dgamma)
+        if beta.requires_grad:
+            T._accumulate(beta, dbeta)
+
+    return T._make(out, (x, gamma, beta), backward_fn)
 
 
 # -- layers -------------------------------------------------------------------------

@@ -23,6 +23,7 @@ import math
 import os
 import struct
 from dataclasses import dataclass, field, replace
+from typing import Iterator
 
 import numpy as np
 
@@ -103,10 +104,6 @@ class Experiment:
     volumes: np.ndarray    # [n, h, w, d_raw] float32
     forces: np.ndarray     # [n] float32, mN
     timestamps: np.ndarray  # [n] float64, seconds
-
-    def series(self) -> list[tuple[np.ndarray, float, float]]:
-        return [(self.volumes[i], float(self.forces[i]), float(self.timestamps[i]))
-                for i in range(len(self.forces))]
 
 
 @dataclass
@@ -312,37 +309,26 @@ def experiment_splits(n: int, fractions=(0.75, 0.08, 0.17)) -> list[str]:
     return out
 
 
+def experiments(n_experiments: int, cfg: SimConfig,
+                split_fractions=(0.75, 0.08, 0.17)) -> Iterator[Experiment]:
+    """The dataset's experiments, generated one at a time as they are drawn.
+
+    Arguments are checked at the call; each experiment is deterministic
+    per (master seed, index) and carries its own split assignment.
+    """
+    if n_experiments < 3:
+        raise ValueError("need at least 3 experiments to populate train/val/test")
+    assignments = experiment_splits(n_experiments, split_fractions)
+    seeds = np.random.SeedSequence(cfg.trajectory.seed).spawn(n_experiments)
+    return (generate_experiment(cfg, i, split, seed)
+            for i, (split, seed) in enumerate(zip(assignments, seeds)))
+
+
 def generate_dataset(n_experiments: int, cfg: SimConfig,
                      split_fractions=(0.75, 0.08, 0.17)) -> Dataset:
     """Deterministic dataset of independent experiments (per-experiment splits)."""
-    if n_experiments < 3:
-        raise ValueError("need at least 3 experiments to populate train/val/test")
-    assignments = experiment_splits(n_experiments, split_fractions)
-    seeds = np.random.SeedSequence(cfg.trajectory.seed).spawn(n_experiments)
-    experiments = [generate_experiment(cfg, i, assignments[i], seeds[i])
-                   for i in range(n_experiments)]
-    return Dataset(config=cfg, experiments=experiments)
-
-
-def generate_windowed(n_experiments: int, cfg: SimConfig, representation: str,
-                      p: int, f: int, d_out: int = 16,
-                      split_fractions=(0.75, 0.08, 0.17)):
-    """Generate straight into windowed per-split views, one experiment at a
-    time, so raw full-depth volumes never accumulate in memory."""
-    from volforce import reps
-
-    if n_experiments < 3:
-        raise ValueError("need at least 3 experiments to populate train/val/test")
-    assignments = experiment_splits(n_experiments, split_fractions)
-    seeds = np.random.SeedSequence(cfg.trajectory.seed).spawn(n_experiments)
-    splits: dict[str, reps.WindowedData] = {}
-    for i in range(n_experiments):
-        exp = generate_experiment(cfg, i, assignments[i], seeds[i])
-        frames = reps.frames_for(representation, exp.volumes, d_out)
-        data = splits.setdefault(exp.meta.split,
-                                 reps.WindowedData(representation, p, f))
-        data.add_experiment(frames, exp.forces, exp.timestamps)
-    return splits
+    return Dataset(config=cfg, experiments=list(experiments(n_experiments, cfg,
+                                                            split_fractions)))
 
 
 # -- file format --------------------------------------------------------------------
@@ -542,17 +528,13 @@ def write_dataset_streamed(path, n_experiments: int, cfg: SimConfig,
 
     Produces byte-identical output to ``save_dataset(generate_dataset(...))``.
     """
-    if n_experiments < 3:
-        raise ValueError("need at least 3 experiments to populate train/val/test")
-    assignments = experiment_splits(n_experiments, split_fractions)
-    seeds = np.random.SeedSequence(cfg.trajectory.seed).spawn(n_experiments)
+    stream = experiments(n_experiments, cfg, split_fractions)
     split_sizes = []
     with replacing(path) as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", FORMAT_VERSION))
         fh.write(struct.pack("<I", n_experiments))
-        for i in range(n_experiments):
-            exp = generate_experiment(cfg, i, assignments[i], seeds[i])
+        for exp in stream:
             fh.write(encode_experiment(exp, cfg))
             split_sizes.append((exp.meta.split, len(exp.forces)))
     write_sidecar(path, cfg, split_sizes)

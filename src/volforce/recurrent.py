@@ -40,7 +40,7 @@ T_CAP_DEFAULT = 8
 RECURRENT_GAMMA_INIT = 0.1
 
 
-class RecurrentBatchNorm:
+class RecurrentBatchNorm(ops.BatchNorm):
     """Batch normalization with per-timestep running statistics.
 
     gamma/beta are shared across timesteps; running mean/variance are kept
@@ -51,13 +51,8 @@ class RecurrentBatchNorm:
     def __init__(self, channels: int, t_cap: int = T_CAP_DEFAULT,
                  momentum: float = 0.1, eps: float = 1e-3,
                  gamma_init: float = RECURRENT_GAMMA_INIT):
-        self.channels = channels
+        super().__init__(channels, momentum, eps, gamma_init)
         self.t_cap = t_cap
-        self.momentum = momentum
-        self.eps = eps
-        self.gamma = Tensor(np.full(channels, gamma_init, dtype=T.default_dtype()),
-                            requires_grad=True)
-        self.beta = Tensor(np.zeros(channels, dtype=T.default_dtype()), requires_grad=True)
         self.running_mean = np.zeros((t_cap + 1, channels), dtype=np.float64)
         self.running_var = np.ones((t_cap + 1, channels), dtype=np.float64)
 
@@ -80,39 +75,10 @@ class RecurrentBatchNorm:
         norm.running_var = np.concatenate([p.running_var for p in parts], axis=1)
         return norm
 
-    def _slot(self, t: int) -> int:
+    def __call__(self, x: Tensor, t: int, training: bool) -> Tensor:
         if t < 0:
             raise ValueError(f"timestep must be >= 0, got {t}")
-        return min(t, self.t_cap)
-
-    def __call__(self, x: Tensor, t: int, training: bool) -> Tensor:
-        if x.shape[-1] != self.channels:
-            raise ValueError(f"expected {self.channels} channels, got {x.shape[-1]}")
-        slot = self._slot(t)
-        axes = tuple(range(x.ndim - 1))
-        if training:
-            if x.shape[0] < 2:
-                raise ValueError("recurrent batch norm in training mode needs batch size >= 2")
-            mu = T.tmean(x, axis=axes, keepdims=True)
-            var = T.tmean((x - mu) ** 2.0, axis=axes, keepdims=True)
-            m = self.momentum
-            self.running_mean[slot] += m * (mu.data.reshape(-1) - self.running_mean[slot])
-            self.running_var[slot] += m * (var.data.reshape(-1) - self.running_var[slot])
-            xn = (x - mu) / T.sqrt(var + self.eps)
-        else:
-            shape = (1,) * (x.ndim - 1) + (self.channels,)
-            mu = Tensor(self.running_mean[slot].reshape(shape))
-            sd = Tensor(np.sqrt(self.running_var[slot] + self.eps).reshape(shape))
-            xn = (x - mu) / sd
-        return xn * self.gamma + self.beta
-
-    def named_params(self, prefix: str = ""):
-        yield prefix + "gamma", self.gamma
-        yield prefix + "beta", self.beta
-
-    def named_buffers(self, prefix: str = ""):
-        yield prefix + "running_mean", self.running_mean
-        yield prefix + "running_var", self.running_var
+        return ops.batch_norm(x, self, training, slot=min(t, self.t_cap))
 
 
 class _CellBase:

@@ -87,15 +87,6 @@ def resample_depth_axis(volume: np.ndarray, d_out: int) -> np.ndarray:
     return out.astype(T.default_dtype(), copy=False)
 
 
-@dataclass
-class Sample:
-    """One supervised example: representation input, force label (mN), timestamp."""
-
-    input: np.ndarray
-    label: float
-    timestamp: float
-
-
 def frames_for(representation: str, volumes: np.ndarray, d_out: int = 16) -> np.ndarray:
     """Transform raw volumes [n, h, w, d_raw] into per-frame model inputs.
 
@@ -117,37 +108,6 @@ def frames_for(representation: str, volumes: np.ndarray, d_out: int = 16) -> np.
     return frames[..., None]
 
 
-def window(series, p: int, f: int, representation: str, d_out: int = 16) -> list[Sample]:
-    """Slide (history p, horizon f) windows over one experiment's series.
-
-    ``series`` is a sequence of (volume, force, timestamp) tuples from a
-    single experiment.  Yields len(series) - (p - 1) - f samples; spatial
-    (-s) representations use window length 1 regardless of p.  Sample
-    inputs are views into one shared frame array.
-    """
-    if p < 1 or f < 0:
-        raise ValueError("history must be >= 1 and horizon >= 0")
-    eff_p = 1 if representation in ("2d-s", "3d-s") else p
-    n = len(series)
-    count = n - (eff_p - 1) - f
-    if count < 1:
-        raise ValueError(
-            f"series of length {n} too short for history {eff_p} and horizon {f}")
-    volumes = np.stack([s[0] for s in series])
-    forces = np.asarray([s[1] for s in series], dtype=np.float64)
-    stamps = np.asarray([s[2] for s in series], dtype=np.float64)
-    frames = frames_for(representation, volumes, d_out)
-    out = []
-    for end in range(eff_p - 1, n - f):
-        if representation in ("2d-s", "3d-s"):
-            inp = frames[end]
-        else:
-            inp = frames[end - eff_p + 1:end + 1]
-        out.append(Sample(input=inp, label=float(forces[end + f]),
-                          timestamp=float(stamps[end])))
-    return out
-
-
 class WindowedData:
     """Window index view over many experiments for one representation.
 
@@ -156,6 +116,8 @@ class WindowedData:
     """
 
     def __init__(self, representation: str, p: int, f: int):
+        if p < 1 or f < 0:
+            raise ValueError("history must be >= 1 and horizon >= 0")
         self.representation = representation
         self.p = 1 if representation in ("2d-s", "3d-s") else p
         self.f = f
@@ -198,7 +160,9 @@ def windowed_splits(dataset, representation: str, p: int, f: int,
     """Build per-split windowed views from a phantom dataset.
 
     Split assignment is per experiment; windows therefore never cross an
-    experiment (or split) boundary.
+    experiment (or split) boundary.  ``dataset.experiments`` is iterated
+    once, so a Dataset over ``phantom.experiments(...)`` builds the views
+    without the raw volumes of all experiments ever sitting in memory.
     """
     splits: dict[str, WindowedData] = {}
     for exp in dataset.experiments:

@@ -12,6 +12,7 @@ import struct
 import numpy as np
 
 from volforce import ops
+from volforce import recurrent as R
 from volforce import tensor as T
 from volforce.tensor import Tensor
 
@@ -118,6 +119,29 @@ def primitive_grad_cases(rng: np.random.Generator):
     x4 = rt(1, 3, 4, 4, 4, 1)
     k4 = rt(3, 3, 3, 3, 1, 2, scale=0.4)
     yield "conv4d", lambda: T.tsum(ops.conv_st(x4, k4, 2) ** 2.0), [x4, k4]
+
+    def norm(norm_type, channels, **kw):
+        """A norm with random gamma, beta and (positive-variance) running stats."""
+        bn = norm_type(channels, **kw)
+        bn.gamma.data[:] = rng.normal(size=channels)
+        bn.beta.data[:] = rng.normal(size=channels)
+        bn.running_mean[:] = rng.normal(size=bn.running_mean.shape)
+        bn.running_var[:] = rng.uniform(0.5, 2.0, size=bn.running_var.shape)
+        return bn
+
+    # the loss is weighted: a plain sum of a training-mode norm has dx = 0
+    xb, wb = rt(4, 3, 2, scale=2.0), rng.normal(size=(4, 3, 2))
+    bn = norm(ops.BatchNorm, 2)
+    yield ("batch_norm train", lambda: T.tsum(bn(xb, training=True) * wb),
+           [xb, bn.gamma, bn.beta])
+    yield ("batch_norm eval", lambda: T.tsum(bn(xb, training=False) * wb),
+           [xb, bn.gamma, bn.beta])
+    parts = [norm(R.RecurrentBatchNorm, 2, t_cap=3), norm(R.RecurrentBatchNorm, 3, t_cap=3,
+                                                          eps=0.05, momentum=0.3)]
+    xr, wr = rt(4, 5), rng.normal(size=(4, 5))
+    yield ("recurrent norm, joined, slot > 0",
+           lambda: T.tsum(R.RecurrentBatchNorm.joined(parts)(xr, 2, False) * wr),
+           [xr] + [t for part in parts for t in (part.gamma, part.beta)])
 
 
 def check_all_primitive_grads(instances: int = 100, seed: int = 0,

@@ -29,6 +29,14 @@ from volforce.tensor import Tensor
 from helpers import check_all_primitive_grads, rel_err
 
 
+def _windowed(n_experiments, cfg, representation, p, f, d_out=16,
+              split_fractions=(0.75, 0.08, 0.17)):
+    """Per-split windowed views, generated one experiment at a time so the
+    raw full-depth volumes never accumulate in memory."""
+    experiments = P.experiments(n_experiments, cfg, split_fractions)
+    return reps.windowed_splits(P.Dataset(cfg, experiments), representation, p, f, d_out)
+
+
 def _ok(n: int, message: str) -> None:
     print(f"\nACCEPTANCE {n}: PASS - {message}")
 
@@ -290,8 +298,8 @@ def test_criterion_7_overfit_smoke():
     cfg = P.SimConfig(
         trajectory=P.TrajectoryConfig(kind="sinusoid", n_samples=67, seed=11),
         h=8, w=8, d_raw=64)
-    splits = P.generate_windowed(3, cfg, "4d-st", p=4, f=0, d_out=8,
-                                 split_fractions=(0.34, 0.33, 0.33))
+    splits = _windowed(3, cfg, "4d-st", p=4, f=0, d_out=8,
+                       split_fractions=(0.34, 0.33, 0.33))
     train = splits["train"]
     train.windows = train.windows[:64]
     assert len(train) == 64
@@ -321,7 +329,7 @@ def _desk_dataset(representation, p, f, d_out=16):
     cfg = P.SimConfig(
         trajectory=P.TrajectoryConfig(kind="sinusoid", n_samples=500, seed=88),
         h=16, w=16, d_raw=128)
-    return P.generate_windowed(12, cfg, representation, p, f, d_out=d_out)
+    return _windowed(12, cfg, representation, p, f, d_out=d_out)
 
 
 def _train_and_eval(arch, rep, splits, p, f, epochs, seed=0, stop_when=None,
@@ -392,7 +400,7 @@ def _trend_mae(seed: int) -> dict[tuple[int, int], float]:
         h=8, w=8, d_raw=64)
     out = {}
     for p, f in itertools.product((2, 6), (0, 4)):
-        splits = P.generate_windowed(12, cfg, "4d-st", p, f, d_out=8)
+        splits = _windowed(12, cfg, "4d-st", p, f, d_out=8)
         report, _ = _train_and_eval(
             "convgru-resnet3d", "4d-st", splits, p, f, epochs=8, seed=seed,
             overrides=dict(base_channels=8, n_blocks=3, spatial_output_stride=4))

@@ -156,6 +156,9 @@ class TestBenchmarkPatchPoints:
         from volforce import ops, recurrent
 
         assert A.unroll is recurrent.unroll
+        # the tracer patches the class's own __call__, never an inherited one
+        assert "__call__" in vars(recurrent.RecurrentBatchNorm)
+        assert issubclass(recurrent.RecurrentBatchNorm, ops.BatchNorm)
         net = A.build(_tiny("convrnn_resnet", "4d-st", "gru", base_channels=6, history=3))
         kernels, norms = [], []
         conv_spatial, norm_call = ops.conv_spatial, recurrent.RecurrentBatchNorm.__call__

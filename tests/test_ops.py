@@ -237,6 +237,52 @@ class TestBatchNorm:
             expected = (x - mu) / np.sqrt(var + bn.eps)
             npt.assert_allclose(out, expected, atol=1e-6)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bitwise_two_pass_expression(self, rng, dtype):
+        # outputs and running statistics equal, bit for bit, the two-pass
+        # expression evaluated in this order
+        with T.use_dtype(dtype):
+            bn = ops.BatchNorm(3, momentum=0.3)
+            bn.gamma.data[:] = rng.normal(size=3)
+            bn.beta.data[:] = rng.normal(size=3)
+            gamma, beta = bn.gamma.data, bn.beta.data
+            x = (rng.normal(size=(4, 5, 3)) * 2.0 + 1.0).astype(dtype)
+            out = bn(Tensor(x), training=True).data
+            inv_n = np.asarray(1.0 / 20, dtype)
+            mu = x.sum(axis=(0, 1), keepdims=True) * inv_n
+            var = ((x - mu) ** 2.0).sum(axis=(0, 1), keepdims=True) * inv_n
+            expected = (x - mu) / np.sqrt(var + np.asarray(bn.eps, dtype)) * gamma + beta
+            assert out.dtype == dtype
+            npt.assert_array_equal(out, expected)
+            running_mean, running_var = np.zeros(3), np.ones(3)
+            running_mean += 0.3 * (mu.reshape(-1) - running_mean)
+            running_var += 0.3 * (var.reshape(-1) - running_var)
+            npt.assert_array_equal(bn.running_mean, running_mean)
+            npt.assert_array_equal(bn.running_var, running_var)
+            out = bn(Tensor(x), training=False).data
+            sd = np.sqrt(running_var + bn.eps).astype(dtype)
+            expected = (x - running_mean.astype(dtype)) / sd * gamma + beta
+            npt.assert_array_equal(out, expected)
+
+    def test_training_call_is_one_graph_node_holding_twice_its_input(self, rng):
+        bn = ops.BatchNorm(4)
+        x = Tensor(rng.normal(size=(8, 6, 4)).astype(np.float32), requires_grad=True)
+        out = bn(x, training=True)
+        leaves = {id(x), id(bn.gamma), id(bn.beta)}
+        created = [node for node in T._toposort(out) if id(node) not in leaves]
+        assert created == [out]
+        # input-sized arrays the graph keeps alive beyond the input: node
+        # outputs plus arrays captured by backward closures
+        held = {}
+        for node in created:
+            held[id(node.data)] = node.data
+            for cell in node._backward.__closure__ or ():
+                if isinstance(cell.cell_contents, np.ndarray):
+                    held[id(cell.cell_contents)] = cell.cell_contents
+        held.pop(id(x.data), None)
+        assert sum(a.nbytes for a in held.values() if a.size > bn.channels) \
+            <= 2 * x.data.nbytes
+
     def test_running_stats_used_in_inference(self, rng):
         bn = ops.BatchNorm(2, momentum=1.0)
         x = rng.normal(size=(16, 2)).astype(np.float32) * 2.0 + 7.0

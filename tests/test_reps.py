@@ -76,47 +76,52 @@ class TestReprojectPseudo:
 
 class TestWindow:
     @staticmethod
-    def _series(n, rng, h=4, w=4, d_raw=16):
+    def _experiment(n, rng, h=4, w=4, d_raw=16):
+        """Raw volumes, forces 10 * i and timestamps i / 60 of one experiment."""
         vols = rng.uniform(0.2, 1.0, size=(n, h, w, d_raw)).astype(np.float32)
-        return [(vols[i], float(10 * i), float(i) / 60.0) for i in range(n)]
+        return vols, 10.0 * np.arange(n), np.arange(n) / 60.0
+
+    @staticmethod
+    def _windowed(experiment, representation, p, f, d_out=16):
+        vols, forces, stamps = experiment
+        data = reps.WindowedData(representation, p, f)
+        data.add_experiment(reps.frames_for(representation, vols, d_out), forces, stamps)
+        return data
 
     def test_count_formula(self, rng):
-        samples = reps.window(self._series(10, rng), p=6, f=0,
-                              representation="4d-st", d_out=8)
-        assert len(samples) == 10 - (6 - 1) - 0 == 5
+        data = self._windowed(self._experiment(10, rng), "4d-st", p=6, f=0, d_out=8)
+        assert len(data) == 10 - (6 - 1) - 0 == 5
 
     def test_horizon_trims_tail(self, rng):
-        series = self._series(10, rng)
-        samples = reps.window(series, p=2, f=4, representation="3d-st")
+        experiment = self._experiment(10, rng)
+        data = self._windowed(experiment, "3d-st", p=2, f=4)
         # the last 4 frames can never be window ends: no label exists for them
-        assert len(samples) == 10 - 1 - 4
-        assert samples[-1].timestamp == series[5][2]  # last admissible end index
-        assert samples[-1].label == series[9][1]
+        assert len(data) == 10 - 1 - 4
+        assert data.windows[-1] == (0, 5)  # last admissible end index
+        _, y = data.gather([len(data) - 1])
+        assert y[0, 0] == experiment[1][9]  # label at end + f
 
     def test_hand_enumerated_pairs(self, rng):
-        series = self._series(5, rng)
-        samples = reps.window(series, p=2, f=1, representation="4d-st", d_out=8)
+        experiment = self._experiment(5, rng)
+        data = self._windowed(experiment, "4d-st", p=2, f=1, d_out=8)
         # windows: frames (0,1) label force[2]; (1,2)->3; (2,3)->4
-        assert len(samples) == 3
-        assert [s.label for s in samples] == [20.0, 30.0, 40.0]
-        frames = reps.frames_for("4d-st", np.stack([s[0] for s in series]), 8)
-        for k, s in enumerate(samples):
-            npt.assert_array_equal(s.input, frames[k:k + 2])
+        x, y = data.gather(range(len(data)))
+        assert len(data) == 3
+        assert y[:, 0].tolist() == [20.0, 30.0, 40.0]
+        frames = reps.frames_for("4d-st", experiment[0], 8)
+        for k in range(3):
+            npt.assert_array_equal(x[k], frames[k:k + 2])
 
     def test_spatial_representations_use_single_frames(self, rng):
-        samples = reps.window(self._series(6, rng), p=4, f=1,
-                              representation="2d-s")
-        assert len(samples) == 6 - 1  # p ignored for -s reps
-        assert samples[0].input.shape == (4, 4, 1)
-
-    def test_too_short_series_rejected(self, rng):
-        with pytest.raises(ValueError, match="too short"):
-            reps.window(self._series(4, rng), p=4, f=1, representation="4d-st", d_out=8)
+        data = self._windowed(self._experiment(6, rng), "2d-s", p=4, f=1)
+        assert len(data) == 6 - 1  # p ignored for -s reps
+        x, _ = data.gather([0])
+        assert x[0].shape == (4, 4, 1)
 
     def test_depth_inputs_normalized(self, rng):
-        samples = reps.window(self._series(4, rng), p=2, f=0, representation="3d-st")
-        for s in samples:
-            assert s.input.min() >= 0.0 and s.input.max() <= 1.0
+        data = self._windowed(self._experiment(4, rng), "3d-st", p=2, f=0)
+        x, _ = data.gather(range(len(data)))
+        assert x.min() >= 0.0 and x.max() <= 1.0
 
 
 class TestResample:
@@ -148,16 +153,21 @@ class TestWindowedData:
             assert end - (3 - 1) >= 0
             assert end + 1 <= len(data.labels[e])
 
-    def test_gather_matches_window_op(self, rng):
-        n = 7
-        vols = rng.uniform(0.1, 1.0, size=(n, 4, 4, 16)).astype(np.float32)
-        series = [(vols[i], float(i * 3), i / 60) for i in range(n)]
-        samples = reps.window(series, p=2, f=1, representation="ps-4d-st", d_out=8)
+    def test_gather_hand_enumerated(self, rng):
+        frames = rng.normal(size=(7, 4, 4, 8, 1)).astype(np.float32)
         data = reps.WindowedData("ps-4d-st", p=2, f=1)
-        data.add_experiment(reps.frames_for("ps-4d-st", vols, 8),
-                            np.asarray([s[1] for s in series]))
+        data.add_experiment(frames, 3.0 * np.arange(7))
+        # window ends 1..5: frames (end-1, end), label force[end + 1]
+        assert data.windows == [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5)]
         x, y = data.gather(range(len(data)))
-        assert len(samples) == len(data)
-        for k, s in enumerate(samples):
-            npt.assert_array_equal(x[k], s.input)
-            assert y[k, 0] == s.label
+        assert y[:, 0].tolist() == [6.0, 9.0, 12.0, 15.0, 18.0]
+        for k, end in enumerate(range(1, 6)):
+            npt.assert_array_equal(x[k], frames[end - 1:end + 1])
+
+    def test_negative_horizon_or_empty_history_rejected(self):
+        # a horizon of -1 would put a window end past the last frame, whose
+        # history slice then comes back one frame short
+        with pytest.raises(ValueError, match="horizon"):
+            reps.WindowedData("4d-st", 2, -1)
+        with pytest.raises(ValueError, match="history"):
+            reps.WindowedData("4d-st", 0, 0)
