@@ -29,7 +29,6 @@ import json
 import math
 import struct
 from dataclasses import asdict, dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -102,6 +101,10 @@ class ModelConfig:
                 f"{self.n_blocks} blocks cannot host {self.n_strided()} stride-2 blocks")
         if self.history < 1 or self.horizon < 0:
             raise ValueError("history must be >= 1 and horizon >= 0")
+        if self.kernel < 1 or self.kernel % 2 == 0:
+            raise ValueError(f"kernel must be odd and positive, got {self.kernel}")
+        if self.base_channels < 1 or self.max_channels < 0:
+            raise ValueError("base_channels must be >= 1 and max_channels >= 0")
 
     def n_strided(self) -> int:
         return int(np.log2(self.spatial_output_stride))
@@ -136,65 +139,51 @@ def _backbone_kind(config: ModelConfig, factorized: bool) -> str:
     return "conv3d" if n_spatial == 3 else "conv2d"
 
 
-class _Backbone:
-    """Initial convolution plus the residual stack, ending in pooling."""
+class _Head(ops.Module):
+    """Scalar affine head: [b, c] @ W [c, 1] + b [1]."""
 
-    def __init__(self, kind: str, in_channels: int, config: ModelConfig, init):
-        proj_kind = {"fac4d": "full4d", "fac3d": "st3d"}.get(kind, kind)
-        c = config.channels()
-        self.init_conv = ops.Conv(proj_kind, in_channels, c, stride=1, init=init,
-                                  k=config.kernel)
-        self.blocks = []
-        cap = config.channel_cap()
-        n_strided = config.n_strided()
-        cin = c
-        for i in range(config.blocks()):
-            strided = 1 <= i <= n_strided
-            cout = min(cin * 2, cap) if strided else cin
-            self.blocks.append(ops.ResidualBlock(
-                kind, cin, cout, stride=2 if strided else 1, init=init, k=config.kernel))
-            cin = cout
-        self.out_channels = cin
-
-    def __call__(self, x: Tensor, training: bool) -> Tensor:
-        h = self.init_conv(x)
-        for block in self.blocks:
-            h = block(h, training)
-        return h
-
-    def named_params(self, prefix: str = ""):
-        yield from self.init_conv.named_params(prefix + "init_conv.")
-        for i, block in enumerate(self.blocks):
-            yield from block.named_params(f"{prefix}block{i + 1}.")
-
-    def named_buffers(self, prefix: str = ""):
-        for i, block in enumerate(self.blocks):
-            yield from block.named_buffers(f"{prefix}block{i + 1}.")
-
-
-class _Head:
     def __init__(self, channels: int, init):
         self.W = Tensor(init((channels, 1)), requires_grad=True)
         self.b = Tensor(np.zeros(1, dtype=T.default_dtype()), requires_grad=True)
 
     def __call__(self, x: Tensor) -> Tensor:
-        return ops.dense(x, self.W, self.b)
-
-    def named_params(self, prefix: str = ""):
-        yield prefix + "W", self.W
-        yield prefix + "b", self.b
+        return T.matmul(x, self.W) + self.b
 
 
-class Network:
-    """A built model: forward pass plus a unique named-parameter registry."""
+class Network(ops.Module):
+    """A built model: its forward pass; the registry is its layer tree.
+
+    The backbone (initial convolution plus the residual stack) is set on
+    the network itself as ``init_conv`` and ``block1``..``blockN``, so its
+    names carry no prefix.  Subclasses define ``_forward``.
+    """
 
     def __init__(self, config: ModelConfig):
         self.config = config
         # (mean, std) used to de-standardize head outputs into mN; set by
         # the trainer when label normalization is on, identity otherwise.
+        # Set before any layer, so it is the first buffer.
         self.label_norm = np.array([0.0, 1.0], dtype=np.float64)
 
-    # subclasses define _forward / _named_params / _named_buffers
+    def _add_backbone(self, kind: str, in_channels: int, init) -> int:
+        """Set ``init_conv`` and the residual blocks; returns their output channels."""
+        cfg = self.config
+        cin = cfg.channels()
+        self.init_conv = ops.Conv(ops.projection_kind(kind), in_channels, cin, stride=1,
+                                  init=init, k=cfg.kernel)
+        for i in range(cfg.blocks()):
+            strided = 1 <= i <= cfg.n_strided()
+            cout = min(cin * 2, cfg.channel_cap()) if strided else cin
+            setattr(self, f"block{i + 1}", ops.ResidualBlock(
+                kind, cin, cout, stride=2 if strided else 1, init=init, k=cfg.kernel))
+            cin = cout
+        return cin
+
+    def backbone(self, x: Tensor, training: bool) -> Tensor:
+        h = self.init_conv(x)
+        for i in range(1, self.config.blocks() + 1):
+            h = getattr(self, f"block{i}")(h, training)
+        return h
 
     def forward(self, batch, training: bool = False) -> Tensor:
         x = batch if isinstance(batch, Tensor) else Tensor(batch)
@@ -219,29 +208,12 @@ class Network:
     def _in_channels(self) -> int:
         return 1
 
-    def named_params(self) -> Iterator[tuple[str, Tensor]]:
-        raise NotImplementedError
-
-    def named_buffers(self) -> Iterator[tuple[str, np.ndarray]]:
-        raise NotImplementedError
-
-    def params(self) -> list[Tensor]:
-        return [p for _, p in self.named_params()]
-
-    def param_count(self) -> int:
-        return sum(p.size for _, p in self.named_params())
-
-    def all_named_buffers(self) -> Iterator[tuple[str, np.ndarray]]:
-        yield "label_norm", self.label_norm
-        yield from self.named_buffers()
-
 
 class _ResNet(Network):
     def __init__(self, config: ModelConfig, init):
         super().__init__(config)
         kind = _backbone_kind(config, factorized=config.family == "fac_resnet")
-        self.backbone = _Backbone(kind, 1, config, init)
-        self.head = _Head(self.backbone.out_channels, init)
+        self.head = _Head(self._add_backbone(kind, 1, init), init)
 
     def _forward(self, x: Tensor, training: bool) -> Tensor:
         h = self.backbone(x, training)
@@ -249,22 +221,13 @@ class _ResNet(Network):
         h = ops.global_avg_pool(h, mode, self.config.n_spatial())
         return self.head(h)
 
-    def named_params(self):
-        yield from self.backbone.named_params()
-        yield from self.head.named_params("head.")
-
-    def named_buffers(self):
-        yield from self.backbone.named_buffers()
-
 
 class _ResNetRNN(Network):
     """Shared-weight spatial backbone per frame, then two recurrent layers."""
 
     def __init__(self, config: ModelConfig, init):
         super().__init__(config)
-        kind = "conv3d" if config.n_spatial() == 3 else "conv2d"
-        self.backbone = _Backbone(kind, 1, config, init)
-        hidden = self.backbone.out_channels
+        hidden = self._add_backbone("conv3d" if config.n_spatial() == 3 else "conv2d", 1, init)
         cell_cls = GRUCell if config.rnn_kind == "gru" else LSTMCell
         t_cap = max(config.history, 1)
         self.cell1 = cell_cls(hidden, hidden, init, t_cap=t_cap)
@@ -281,17 +244,6 @@ class _ResNetRNN(Network):
         last = unroll(self.cell2, seq, training=training)
         return self.head(last)
 
-    def named_params(self):
-        yield from self.backbone.named_params()
-        yield from self.cell1.named_params("cell1.")
-        yield from self.cell2.named_params("cell2.")
-        yield from self.head.named_params("head.")
-
-    def named_buffers(self):
-        yield from self.backbone.named_buffers()
-        yield from self.cell1.named_buffers("cell1.")
-        yield from self.cell2.named_buffers("cell2.")
-
 
 class _ConvRNNResNet(Network):
     """Convolutional recurrence at full resolution, then a spatial backbone."""
@@ -306,23 +258,13 @@ class _ConvRNNResNet(Network):
         self.cell = cell_cls(1, hidden, n_spatial, init, k=config.kernel,
                              t_cap=max(config.history, 1))
         kind = "conv3d" if n_spatial == 3 else "conv2d"
-        self.backbone = _Backbone(kind, hidden, config, init)
-        self.head = _Head(self.backbone.out_channels, init)
+        self.head = _Head(self._add_backbone(kind, hidden, init), init)
 
     def _forward(self, x: Tensor, training: bool) -> Tensor:
         last = unroll(self.cell, x, training=training)
         h = self.backbone(last, training)
         h = ops.global_avg_pool(h, "spatial", self.config.n_spatial())
         return self.head(h)
-
-    def named_params(self):
-        yield from self.cell.named_params("cell.")
-        yield from self.backbone.named_params()
-        yield from self.head.named_params("head.")
-
-    def named_buffers(self):
-        yield from self.cell.named_buffers("cell.")
-        yield from self.backbone.named_buffers()
 
 
 def build(config: ModelConfig, seed: int = 0, init_std: float = 0.01) -> Network:
@@ -344,12 +286,7 @@ def _assemble(config: ModelConfig, init) -> Network:
         "resnet_rnn": _ResNetRNN,
         "convrnn_resnet": _ConvRNNResNet,
     }[config.family]
-    net = cls(config, init)
-    names = [name for name, _ in net.named_params()]
-    if len(names) != len(set(names)):
-        dupes = sorted({n for n in names if names.count(n) > 1})
-        raise AssertionError(f"duplicate parameter names in registry: {dupes}")
-    return net
+    return cls(config, init)
 
 
 # -- architecture name table (the CLI surface) -------------------------------------
@@ -440,7 +377,7 @@ def save_checkpoint(path, net: Network, ema: dict[str, np.ndarray] | None = None
     buf.write(struct.pack("<I", len(cfg)))
     buf.write(cfg)
     entries = [( _KIND_PARAM, name, p.data) for name, p in net.named_params()]
-    entries += [(_KIND_BUFFER, name, arr) for name, arr in net.all_named_buffers()]
+    entries += [(_KIND_BUFFER, name, arr) for name, arr in net.named_buffers()]
     if ema is not None:
         entries += [(_KIND_EMA, name, arr) for name, arr in ema.items()]
     buf.write(struct.pack("<I", len(entries)))
@@ -477,7 +414,7 @@ def load_checkpoint(path) -> tuple[Network, dict[str, np.ndarray]]:
         except TypeError as exc:  # unknown or missing keys, non-object JSON, bad types
             raise ValueError(f"bad checkpoint config: {exc}") from None
         params = dict(net.named_params())
-        buffers = dict(net.all_named_buffers())
+        buffers = dict(net.named_buffers())
         targets = {_KIND_PARAM: params, _KIND_EMA: params, _KIND_BUFFER: buffers}
         ema: dict[str, np.ndarray] = {}
         seen: set[tuple[int, str]] = set()

@@ -16,7 +16,6 @@ independently written loop implementation can reproduce it bit for bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product as iproduct
 from typing import Callable
@@ -25,30 +24,6 @@ import numpy as np
 
 from volforce import tensor as T
 from volforce.tensor import Tensor
-
-
-@dataclass(frozen=True)
-class ConvSpec:
-    """Kernel geometry for one convolution.
-
-    ``kernel`` lists one odd extent per convolved axis, temporal first
-    when ``temporal`` is set.  ``stride`` applies to spatial axes only;
-    the temporal stride is fixed at 1.
-    """
-
-    kernel: tuple[int, ...]
-    in_channels: int
-    out_channels: int
-    stride: int = 1
-    temporal: bool = False
-
-    def __post_init__(self):
-        if any(k < 1 or k % 2 == 0 for k in self.kernel):
-            raise ValueError(f"kernel extents must be odd and positive, got {self.kernel}")
-        if self.stride not in (1, 2):
-            raise ValueError(f"stride must be 1 or 2, got {self.stride}")
-        if self.in_channels < 1 or self.out_channels < 1:
-            raise ValueError("channel counts must be positive")
 
 
 def same_pad(extent: int, k: int, stride: int) -> tuple[int, int, int]:
@@ -227,10 +202,41 @@ def factorized_conv(x: Tensor, K_S: Tensor, K_T: Tensor, stride: int = 1) -> Ten
     return conv_st(y, K_T, 1)
 
 
+# -- the layer tree ----------------------------------------------------------------
+
+
+class Module:
+    """Base of every layer: the parameter registry is the attribute tree.
+
+    ``named_params``/``named_buffers`` walk ``vars(self)`` in assignment
+    order.  A Tensor with ``requires_grad`` is a parameter, an ndarray is a
+    buffer, and a Module child is walked under the prefix ``<attr>.``; any
+    other attribute is skipped.  The order fixes the order of checkpoint
+    entries, so layers assign their children in registry order.
+    """
+
+    def named_params(self, prefix: str = ""):
+        for name, value in vars(self).items():
+            if isinstance(value, Module):
+                yield from value.named_params(f"{prefix}{name}.")
+            elif isinstance(value, Tensor) and value.requires_grad:
+                yield prefix + name, value
+
+    def named_buffers(self, prefix: str = ""):
+        for name, value in vars(self).items():
+            if isinstance(value, Module):
+                yield from value.named_buffers(f"{prefix}{name}.")
+            elif isinstance(value, np.ndarray):
+                yield prefix + name, value
+
+    def param_count(self) -> int:
+        return sum(p.size for _, p in self.named_params())
+
+
 # -- normalization -----------------------------------------------------------------
 
 
-class BatchNorm:
+class BatchNorm(Module):
     """Batch normalization over all non-channel axes (channel last).
 
     Training mode normalizes with batch statistics and updates running
@@ -255,14 +261,6 @@ class BatchNorm:
 
     def __call__(self, x: Tensor, training: bool) -> Tensor:
         return batch_norm(x, self, training)
-
-    def named_params(self, prefix: str = ""):
-        yield prefix + "gamma", self.gamma
-        yield prefix + "beta", self.beta
-
-    def named_buffers(self, prefix: str = ""):
-        yield prefix + "running_mean", self.running_mean
-        yield prefix + "running_var", self.running_var
 
 
 def batch_norm(x: Tensor, state: BatchNorm, training: bool, slot: int = 0) -> Tensor:
@@ -328,7 +326,13 @@ _KIND_GEOM = {
 }
 
 
-class Conv:
+def projection_kind(kind: str) -> str:
+    """The unfactorized kind of a factorized one (its shortcut and initial
+    convolutions use a full kernel); other kinds map to themselves."""
+    return {"fac4d": "full4d", "fac3d": "st3d"}.get(kind, kind)
+
+
+class Conv(Module):
     """One convolution layer (no bias; normalization supplies the shift)."""
 
     def __init__(self, kind: str, cin: int, cout: int, stride: int,
@@ -336,12 +340,9 @@ class Conv:
         n_spatial, temporal, factorized = _KIND_GEOM[kind]
         if factorized:
             raise ValueError("use FactorizedConv for factorized kinds")
-        self.kind = kind
-        n_axes = n_spatial + (1 if temporal else 0)
-        self.spec = ConvSpec(kernel=(k,) * n_axes, in_channels=cin,
-                             out_channels=cout, stride=stride, temporal=temporal)
         self.stride = stride
-        self.weight = Tensor(init((k,) * n_axes + (cin, cout)), requires_grad=True)
+        self.weight = Tensor(init((k,) * (n_spatial + temporal) + (cin, cout)),
+                             requires_grad=True)
         self.temporal = temporal
 
     def __call__(self, x: Tensor) -> Tensor:
@@ -349,14 +350,8 @@ class Conv:
             return conv_st(x, self.weight, self.stride)
         return conv_spatial(x, self.weight, self.stride)
 
-    def named_params(self, prefix: str = ""):
-        yield prefix + "weight", self.weight
 
-    def named_buffers(self, prefix: str = ""):
-        return iter(())
-
-
-class FactorizedConv:
+class FactorizedConv(Module):
     """Spatial kernel followed by temporal kernel (separable kernels only)."""
 
     def __init__(self, kind: str, cin: int, cout: int, stride: int,
@@ -364,9 +359,6 @@ class FactorizedConv:
         n_spatial, temporal, factorized = _KIND_GEOM[kind]
         if not (temporal and factorized):
             raise ValueError(f"kind {kind!r} is not a factorized spatio-temporal kind")
-        self.kind = kind
-        self.spec = ConvSpec(kernel=(k,) * (n_spatial + 1), in_channels=cin,
-                             out_channels=cout, stride=stride, temporal=True)
         self.stride = stride
         self.weight_spatial = Tensor(init((1,) + (k,) * n_spatial + (cin, cout)),
                                      requires_grad=True)
@@ -376,13 +368,6 @@ class FactorizedConv:
     def __call__(self, x: Tensor) -> Tensor:
         return factorized_conv(x, self.weight_spatial, self.weight_temporal, self.stride)
 
-    def named_params(self, prefix: str = ""):
-        yield prefix + "weight_spatial", self.weight_spatial
-        yield prefix + "weight_temporal", self.weight_temporal
-
-    def named_buffers(self, prefix: str = ""):
-        return iter(())
-
 
 def make_conv(kind: str, cin: int, cout: int, stride: int, init, k: int = 3):
     if _KIND_GEOM[kind][2]:
@@ -390,7 +375,7 @@ def make_conv(kind: str, cin: int, cout: int, stride: int, init, k: int = 3):
     return Conv(kind, cin, cout, stride, init, k)
 
 
-class ResidualBlock:
+class ResidualBlock(Module):
     """Pre-activation residual block: (BN -> ReLU -> conv) twice plus shortcut.
 
     The first convolution carries the spatial stride and any channel
@@ -403,17 +388,13 @@ class ResidualBlock:
 
     def __init__(self, kind: str, cin: int, cout: int, stride: int,
                  init: Callable[[tuple[int, ...]], np.ndarray], k: int = 3):
-        self.kind = kind
-        self.stride = stride
         self.bn1 = BatchNorm(cin)
-        self.bn2 = BatchNorm(cout)
         self.conv1 = make_conv(kind, cin, cout, stride, init, k)
+        self.bn2 = BatchNorm(cout)
         self.conv2 = make_conv(kind, cout, cout, 1, init, k)
+        self.shortcut = None
         if stride != 1 or cin != cout:
-            proj_kind = {"fac4d": "full4d", "fac3d": "st3d"}.get(kind, kind)
-            self.shortcut = Conv(proj_kind, cin, cout, stride, init, k=1)
-        else:
-            self.shortcut = None
+            self.shortcut = Conv(projection_kind(kind), cin, cout, stride, init, k=1)
 
     def __call__(self, x: Tensor, training: bool) -> Tensor:
         h = self.conv1(T.relu(self.bn1(x, training)))
@@ -421,20 +402,8 @@ class ResidualBlock:
         s = x if self.shortcut is None else self.shortcut(x)
         return h + s
 
-    def named_params(self, prefix: str = ""):
-        yield from self.bn1.named_params(prefix + "bn1.")
-        yield from self.conv1.named_params(prefix + "conv1.")
-        yield from self.bn2.named_params(prefix + "bn2.")
-        yield from self.conv2.named_params(prefix + "conv2.")
-        if self.shortcut is not None:
-            yield from self.shortcut.named_params(prefix + "shortcut.")
 
-    def named_buffers(self, prefix: str = ""):
-        yield from self.bn1.named_buffers(prefix + "bn1.")
-        yield from self.bn2.named_buffers(prefix + "bn2.")
-
-
-# -- pooling and head ----------------------------------------------------------------
+# -- pooling ------------------------------------------------------------------------------
 
 
 def global_avg_pool(x: Tensor, mode: str, n_spatial: int) -> Tensor:
@@ -455,8 +424,3 @@ def global_avg_pool(x: Tensor, mode: str, n_spatial: int) -> Tensor:
     elif x.ndim not in (n_spatial + 2, n_spatial + 3):
         raise ValueError(f"rank {x.ndim} inconsistent with {n_spatial} spatial axes")
     return T.tmean(x, axis=axes)
-
-
-def dense(x: Tensor, W: Tensor, bias: Tensor) -> Tensor:
-    """Affine map [b, c] @ [c, m] + [m]; the scalar head uses m = 1."""
-    return T.matmul(x, W) + bias

@@ -22,7 +22,7 @@ import contextlib
 import math
 import os
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from typing import Iterator
 
 import numpy as np
@@ -386,13 +386,54 @@ class _Fields(dict):
         raise ValueError(f"dataset file lacks header field {key!r}")
 
 
+def _config_fields(cfg) -> Iterator[tuple[str, object]]:
+    """(name, value) of every setting of a config; nested configs are
+    flattened, and their field names are unique across the three classes."""
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        if is_dataclass(value):
+            yield from _config_fields(value)
+        else:
+            yield f.name, value
+
+
+def _format_setting(value) -> str:
+    if isinstance(value, tuple):
+        return ",".join(repr(float(v)) for v in value)
+    return repr(float(value)) if isinstance(value, float) else str(value)
+
+
+def _parse_setting(text: str, like):
+    """``text`` read as the type of the default value ``like``."""
+    if isinstance(like, bool):
+        if text not in ("True", "False"):
+            raise ValueError(f"bad boolean {text!r} in dataset file")
+        return text == "True"
+    if isinstance(like, tuple):
+        return tuple(float(v) for v in text.split(","))
+    return type(like)(text)
+
+
+def _config_from(info: dict[str, str], cls):
+    """``cls`` rebuilt from header fields; a setting the file lacks (files
+    written before it was recorded) keeps its default."""
+    defaults, kwargs = cls(), {}
+    for f in fields(cls):
+        like = getattr(defaults, f.name)
+        if is_dataclass(like):
+            kwargs[f.name] = _config_from(info, type(like))
+        elif f.name in info:
+            kwargs[f.name] = _parse_setting(info[f.name], like)
+    return cls(**kwargs)
+
+
 def _meta_fields(exp: Experiment, cfg: SimConfig) -> list[str]:
     meta = exp.meta
-    fields = [
-        f"id={meta.exp_id}", f"kind={meta.kind}", f"split={meta.split}",
-        f"h={cfg.h}", f"w={cfg.w}", f"d_raw={cfg.d_raw}",
-        f"lateral_fov_mm={cfg.lateral_fov_mm!r}", f"depth_fov_mm={cfg.depth_fov_mm!r}",
-        f"rate_hz={cfg.trajectory.rate_hz!r}",
+    fields = [f"id={meta.exp_id}", f"kind={meta.kind}", f"split={meta.split}"]
+    # the trajectory kind is the experiment's own ``kind`` field
+    fields += [f"{name}={_format_setting(value)}"
+               for name, value in _config_fields(cfg) if name != "kind"]
+    fields += [
         f"cx_mm={meta.cx_mm!r}", f"cy_mm={meta.cy_mm!r}",
         f"sigma_mm={meta.sigma_mm!r}", f"z0_mm={meta.z0_mm!r}",
         f"stiffness={meta.stiffness!r}", f"texture_seed={meta.texture_seed}",
@@ -508,18 +549,14 @@ def load_dataset(path) -> Dataset:
         if 8 * n_exp > bytes_left(fh):  # field and sample counts, 4 bytes each
             raise ValueError(f"dataset file truncated: {n_exp} experiments declared")
         experiments = []
-        info: dict[str, str] = _Fields()
         for _ in range(n_exp):
             info, exp = _decode_experiment(fh)
             experiments.append(exp)
         if fh.read(1):
             raise ValueError("trailing bytes after final experiment")
-    cfg = SimConfig(h=int(info["h"]), w=int(info["w"]), d_raw=int(info["d_raw"]),
-                    lateral_fov_mm=float(info["lateral_fov_mm"]),
-                    depth_fov_mm=float(info["depth_fov_mm"]),
-                    trajectory=TrajectoryConfig(kind=info["kind"],
-                                                rate_hz=float(info["rate_hz"])))
-    return Dataset(config=cfg, experiments=experiments)
+    if not experiments:  # the settings are read from the experiment headers
+        raise ValueError("dataset file holds no experiments")
+    return Dataset(config=_config_from(info, SimConfig), experiments=experiments)
 
 
 def write_dataset_streamed(path, n_experiments: int, cfg: SimConfig,

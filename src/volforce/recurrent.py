@@ -81,15 +81,18 @@ class RecurrentBatchNorm(ops.BatchNorm):
         return ops.batch_norm(x, self, training, slot=min(t, self.t_cap))
 
 
-class _CellBase:
+class _CellBase(ops.Module):
     """Weights, norms and the fused gate maps shared by the four cells.
 
-    ``gates`` lists the gates in fused channel order and ``u_gates`` those
-    whose hidden-side map is fused and normalized.  ``kernel`` holds the
-    leading weight axes of one gate map: none for a matrix product.  Steps
-    map the hidden side before the input side; the other order was measured
-    to fragment the allocator's heap and raise the peak RSS of the layers
-    after the cell at batch 64.
+    The weights are attributes named as in ``gate_names`` (``w_z``,
+    ``u_z``, ...) and the norms are ``bn_`` plus a ``bn_names`` entry, set
+    in that order, which is the registry order.  ``gates`` lists the gates
+    in fused channel order and ``u_gates`` those whose hidden-side map is
+    fused and normalized.  ``kernel`` holds the leading weight axes of one
+    gate map: none for a matrix product.  Steps map the hidden side before
+    the input side; the other order was measured to fragment the
+    allocator's heap and raise the peak RSS of the layers after the cell at
+    batch 64.
     """
 
     gate_names: tuple[str, ...] = ()
@@ -99,14 +102,12 @@ class _CellBase:
     kernel: tuple[int, ...] = ()
 
     def __init__(self, in_size: int, hidden: int, init, t_cap: int = T_CAP_DEFAULT):
-        self.in_size = in_size
         self.hidden = hidden
-        self.t_cap = t_cap
-        self.weights = {
-            name: Tensor(init(self.kernel + ((in_size if name[0] == "w" else hidden), hidden)),
-                         requires_grad=True)
-            for name in self.gate_names}
-        self.bns = {name: RecurrentBatchNorm(hidden, t_cap=t_cap) for name in self.bn_names}
+        for name in self.gate_names:
+            rows = in_size if name[0] == "w" else hidden
+            setattr(self, name, Tensor(init(self.kernel + (rows, hidden)), requires_grad=True))
+        for name in self.bn_names:
+            setattr(self, "bn_" + name, RecurrentBatchNorm(hidden, t_cap=t_cap))
 
     def _map(self, x: Tensor, w: Tensor) -> Tensor:
         return T.matmul(x, w)
@@ -120,8 +121,8 @@ class _CellBase:
             pre = Tensor.zeros(like.shape[:1] + (1,) * (like.ndim - 2)
                                + (len(gates) * self.hidden,))
         else:
-            pre = self._map(x, T.concat([self.weights[f"{side}_{g}"] for g in gates], -1))
-        parts = [self.bns[side + g] for g in gates]
+            pre = self._map(x, T.concat([getattr(self, f"{side}_{g}") for g in gates], -1))
+        parts = [getattr(self, f"bn_{side}{g}") for g in gates]
         norm = RecurrentBatchNorm.joined(parts)
         out = norm(pre, t, training)
         if training:
@@ -133,16 +134,6 @@ class _CellBase:
 
     def _gate(self, fused: Tensor, i: int) -> Tensor:
         return fused[..., i * self.hidden:(i + 1) * self.hidden]
-
-    def named_params(self, prefix: str = ""):
-        for name in self.gate_names:
-            yield prefix + name, self.weights[name]
-        for name in self.bn_names:
-            yield from self.bns[name].named_params(prefix + "bn_" + name + ".")
-
-    def named_buffers(self, prefix: str = ""):
-        for name in self.bn_names:
-            yield from self.bns[name].named_buffers(prefix + "bn_" + name + ".")
 
 
 class GRUCell(_CellBase):
@@ -168,7 +159,7 @@ class GRUCell(_CellBase):
         if h_prev is None:
             return z * T.tanh(self._gate(wx, 2))
         r = T.sigmoid(self._gate(wx, 1) + self._gate(uh, 1))
-        cand = T.tanh(self._gate(wx, 2) + self._map(r * h_prev, self.weights["u_h"]))
+        cand = T.tanh(self._gate(wx, 2) + self._map(r * h_prev, self.u_h))
         return (1.0 - z) * h_prev + z * cand
 
 
@@ -206,7 +197,6 @@ class _ConvMaps:
     def __init__(self, in_channels: int, hidden: int, n_spatial: int, init,
                  k: int = 3, t_cap: int = T_CAP_DEFAULT):
         self.n_spatial = n_spatial
-        self.k = k
         self.kernel = (k,) * n_spatial
         super().__init__(in_channels, hidden, init, t_cap)
 

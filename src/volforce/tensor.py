@@ -66,10 +66,9 @@ class Tensor:
     gradient to them.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "name",
-                 "__weakref__")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "__weakref__")
 
-    def __init__(self, data, requires_grad: bool = False, name: str = ""):
+    def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=_DEFAULT_DTYPE)
         if arr.size == 0:
             raise ValueError(f"tensor extents must all be >= 1, got shape {arr.shape}")
@@ -78,21 +77,12 @@ class Tensor:
         self.requires_grad = bool(requires_grad)
         self._parents: tuple[Tensor, ...] = ()
         self._backward: Callable[[np.ndarray], None] | None = None
-        self.name = name
 
     # -- construction helpers -------------------------------------------------
 
     @staticmethod
     def zeros(shape, requires_grad: bool = False) -> "Tensor":
         return Tensor(np.zeros(shape, dtype=_DEFAULT_DTYPE), requires_grad)
-
-    @staticmethod
-    def ones(shape, requires_grad: bool = False) -> "Tensor":
-        return Tensor(np.ones(shape, dtype=_DEFAULT_DTYPE), requires_grad)
-
-    @staticmethod
-    def full(shape, value, requires_grad: bool = False) -> "Tensor":
-        return Tensor(np.full(shape, value, dtype=_DEFAULT_DTYPE), requires_grad)
 
     # -- basic introspection --------------------------------------------------
 
@@ -111,12 +101,8 @@ class Tensor:
     def item(self) -> float:
         return float(self.data.reshape(-1)[0])
 
-    def numpy(self) -> np.ndarray:
-        return self.data
-
     def __repr__(self) -> str:
-        tag = f" name={self.name!r}" if self.name else ""
-        return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad}{tag})"
+        return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
     # -- operators ------------------------------------------------------------
 
@@ -138,15 +124,6 @@ class Tensor:
     def __rmul__(self, other):
         return mul(_as_tensor(other), self)
 
-    def __truediv__(self, other):
-        return div(self, _as_tensor(other))
-
-    def __neg__(self):
-        return neg(self)
-
-    def __pow__(self, exponent):
-        return power(self, exponent)
-
     def __matmul__(self, other):
         return matmul(self, other)
 
@@ -166,7 +143,6 @@ def _make(data: np.ndarray, parents: Sequence[Tensor],
     out = Tensor.__new__(Tensor)
     out.data = data
     out.grad = None
-    out.name = ""
     if _GRAD_ENABLED and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)
@@ -238,36 +214,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return _make(out_data, (a, b), backward_fn)
 
 
-def div(a: Tensor, b: Tensor) -> Tensor:
-    _check_broadcast(a, b, "div")
-    out_data = a.data / b.data
-
-    def backward_fn(g):
-        if a.requires_grad:
-            _accumulate(a, _unbroadcast(g / b.data, a.shape))
-        if b.requires_grad:
-            _accumulate(b, _unbroadcast(-g * a.data / (b.data * b.data), b.shape))
-
-    return _make(out_data, (a, b), backward_fn)
-
-
-def neg(a: Tensor) -> Tensor:
-    def backward_fn(g):
-        _accumulate(a, -g)
-
-    return _make(-a.data, (a,), backward_fn)
-
-
-def power(a: Tensor, exponent: float) -> Tensor:
-    exponent = float(exponent)
-    out_data = a.data ** exponent
-
-    def backward_fn(g):
-        _accumulate(a, g * exponent * a.data ** (exponent - 1.0))
-
-    return _make(out_data, (a,), backward_fn)
-
-
 def relu(a: Tensor) -> Tensor:
     out_data = np.maximum(a.data, 0)
 
@@ -293,15 +239,6 @@ def tanh(a: Tensor) -> Tensor:
 
     def backward_fn(g):
         _accumulate(a, g * (1.0 - out_data * out_data))
-
-    return _make(out_data, (a,), backward_fn)
-
-
-def sqrt(a: Tensor) -> Tensor:
-    out_data = np.sqrt(a.data)
-
-    def backward_fn(g):
-        _accumulate(a, g * 0.5 / out_data)
 
     return _make(out_data, (a,), backward_fn)
 
@@ -369,18 +306,6 @@ def getitem(a: Tensor, index) -> Tensor:
             a.grad[index] += g
 
     return _make(np.ascontiguousarray(out_data), (a,), backward_fn)
-
-
-def pad_zero(a: Tensor, pad_width) -> Tensor:
-    """Zero-pad; ``pad_width`` as in numpy.pad, one (before, after) per axis."""
-    pad_width = tuple(tuple(p) for p in pad_width)
-    out_data = np.pad(a.data, pad_width)
-
-    def backward_fn(g):
-        slices = tuple(slice(b, g.shape[i] - e) for i, (b, e) in enumerate(pad_width))
-        _accumulate(a, g[slices])
-
-    return _make(out_data, (a,), backward_fn)
 
 
 def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:

@@ -163,8 +163,8 @@ def test_criterion_3_gradient_suite():
             def f():
                 return TR.mse_loss(net.forward(x, training=True), target)
 
-            report = T.finite_diff_report(f, net.params(), eps=1e-4,
-                                          max_elements=3, seed=0)
+            params = [p for _, p in net.named_params()]
+            report = T.finite_diff_report(f, params, eps=1e-4, max_elements=3, seed=0)
             err = report.worst
             worst = max(worst, err)
             plain_worst = max(plain_worst, report.plain_worst)
@@ -190,8 +190,8 @@ def test_criterion_4_degenerate_reductions():
     vec = R.GRUCell(3, 4, init)
     conv = R.ConvGRUCell(3, 4, 3, init, k=1)
     for name in vec.gate_names:
-        conv.weights[name].data[:] = vec.weights[name].data.reshape(
-            conv.weights[name].shape)
+        getattr(conv, name).data[:] = getattr(vec, name).data.reshape(
+            getattr(conv, name).shape)
     x = rng.normal(size=(2, 3)).astype(np.float32)
     hp = rng.normal(size=(2, 4)).astype(np.float32)
     hv = vec.step(Tensor(x), Tensor(hp), 0, training=True)

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -5,9 +7,10 @@ import pytest
 from volforce import architectures as A
 from volforce import reps
 from volforce import tensor as T
+from volforce import training as TR
 from volforce.tensor import Tensor
 
-from helpers import rewrite_checkpoint_config
+from helpers import rewrite_checkpoint_config, square
 
 
 def _tiny(family, rep, rnn="none", **kw):
@@ -199,6 +202,18 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="temporal"):
             A.ModelConfig("fac_resnet", "3d-s")
 
+    def test_even_kernel_rejected(self):
+        with pytest.raises(ValueError, match="odd"):
+            A.ModelConfig("resnet", "3d-st", kernel=4)
+        with pytest.raises(ValueError, match="odd"):
+            A.ModelConfig("resnet", "3d-st", kernel=-1)
+
+    def test_channel_counts_checked(self):
+        with pytest.raises(ValueError, match="base_channels"):
+            A.ModelConfig("resnet", "3d-st", base_channels=0)
+        with pytest.raises(ValueError, match="max_channels"):
+            A.ModelConfig("resnet", "3d-st", max_channels=-1)
+
     def test_too_many_stride_blocks_rejected(self):
         with pytest.raises(ValueError, match="stride-2"):
             A.ModelConfig("resnet", "4d-st", n_blocks=3, spatial_output_stride=16)
@@ -282,9 +297,10 @@ class TestForward:
             x = rng.normal(size=(2, 2, 4, 4, 1))
 
             def f():
-                return T.tmean(net.forward(x, training=True) ** 2.0)
+                return T.tmean(square(net.forward(x, training=True)))
 
-            err = T.finite_diff_check(f, net.params(), eps=1e-4, max_elements=3)
+            params = [p for _, p in net.named_params()]
+            err = T.finite_diff_check(f, params, eps=1e-4, max_elements=3)
             assert err < 1e-4
 
 
@@ -302,8 +318,7 @@ class TestCheckpoint:
         for (n1, p1), (n2, p2) in zip(net.named_params(), loaded.named_params()):
             assert n1 == n2
             npt.assert_array_equal(p1.data, p2.data)
-        for (n1, b1), (n2, b2) in zip(net.all_named_buffers(),
-                                      loaded.all_named_buffers()):
+        for (n1, b1), (n2, b2) in zip(net.named_buffers(), loaded.named_buffers()):
             assert n1 == n2
             npt.assert_allclose(b1, b2, atol=1e-6)
         for name in ema:
@@ -351,3 +366,78 @@ class TestCheckpoint:
         rewrite_checkpoint_config(path, edit)
         with pytest.raises(ValueError, match="bad checkpoint config"):
             A.load_checkpoint(path)
+
+    def test_even_kernel_in_config_rejected(self, tmp_path):
+        net = A.build(_tiny("resnet", "2d-s"))
+        path = tmp_path / "model.ckpt"
+        A.save_checkpoint(path, net, None)
+        rewrite_checkpoint_config(path, lambda cfg: dict(cfg, kernel=4))
+        with pytest.raises(ValueError, match="kernel"):
+            A.load_checkpoint(path)
+
+
+def _digest(lines) -> str:
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+# Per ARCH_TABLE entry at a tiny config (seed 0): sha256 of the parameter
+# "name:shape" lines, of the buffer "name:shape" lines, and of the
+# checkpoint bytes (EMA shadows included).  A change to any name, their
+# order, an init draw or the file layout changes one of them.
+REGISTRY_PINS = {
+    "convgru-resnet2d": ("0d2ae49a6e463c8555d76a2913ee332a4d86366cce07b0e85467fefab62b2a71",
+                         "6bf2ab09a070ac18a907d760a981bec89722749962f325206b6b8d476fbaec40",
+                         "86e5882f1ba4b0cda35fe39551ac431efed98d881f8ad3c18784e94628811c34"),
+    "convgru-resnet3d": ("f2230d07fc587499a798d6eca3d03cb75817d1dfbbc7001585e602e698c6ab53",
+                         "6bf2ab09a070ac18a907d760a981bec89722749962f325206b6b8d476fbaec40",
+                         "e04f0807a337e8a3670f7960442c4e0e8f9366a83bc2731e8111b9aefb6bdac8"),
+    "convlstm-resnet2d": ("9d9189fa1fe5cd6e2898c7ab255f6e790d644b0c85a5a840acf1ef8f5bfc3b33",
+                          "a62ed20c1519bb8d41c206abc3fff9e0ff667c7ece751dda88ffbb9dde661521",
+                          "707615420dda3267851bc48c6c180b39481569467f0646d97cfaf90a1393eb6a"),
+    "convlstm-resnet3d": ("266dd575c0ba652b1385e51a9c18d14c3fe16fa282d32db7715a99efe581dee2",
+                          "a62ed20c1519bb8d41c206abc3fff9e0ff667c7ece751dda88ffbb9dde661521",
+                          "afd5212e21455f6dea9a10a6c6d0642778605552365895c48424208f0d0ba746"),
+    "facresnet3d": ("2734b320c1b5f65bb88eedd24a4e284589f824e118f31c0fa91dd8cdfb016f8e",
+                    "a89155d95b685ab6c2244f1cf93c984cd47be6fbae48d2b913a4bde95e7ea941",
+                    "5f68b56b8d67f145a81c4e2c9c0e4cd3a07e7f571e397e71a9199ddf5abe2d12"),
+    "facresnet4d": ("095853b9d02f26ee5fe3e06c6272835adbfad768ea65f573310608272e9e4684",
+                    "a89155d95b685ab6c2244f1cf93c984cd47be6fbae48d2b913a4bde95e7ea941",
+                    "20f3696209c62e24b15abbfe2bf003183b54af6b5c87f28ff5637e2eb563de32"),
+    "resnet2d-gru": ("32caddd21272ef89b7a36394e295ad53c6feb1ee1c89c6a79176b3eeec634a6e",
+                     "369fd9b7dbd8d72591a556aedac4f5da0de2b1b7e44879ac876edc5856e6450b",
+                     "d1c10f8cd96a9525cdf387aa8691306e1ebbe4d0157a13634d48cbe9d4a129f4"),
+    "resnet2d-lstm": ("8e319f8adf71bb089aad804c386b76a15bc83db386875a275e23b9d224cffba7",
+                      "8caf0ba23e4c675409fa571945640058f5b24df722f92e619c642fc3185f6a75",
+                      "f6be71d8a52dc4d62dfb6b8618e1fba6f79d7ae5524f0a8dff12b6842032df1c"),
+    "resnet2d-s": ("0fd3f87e945c55c5e95e47b2234e94e229ea88b439c334e5a41e2b433ec7d66b",
+                   "a89155d95b685ab6c2244f1cf93c984cd47be6fbae48d2b913a4bde95e7ea941",
+                   "ee798519e6a6f908b29fc93a0fdcbecdc6fd902f70c81abe7fbb721f1bd4f04e"),
+    "resnet3d-gru": ("935c16b2f01a11d157371dae9ee95057849a44bcd1502480800561c916efbf67",
+                     "369fd9b7dbd8d72591a556aedac4f5da0de2b1b7e44879ac876edc5856e6450b",
+                     "722be11c92d758e1b3169e0caee5e8297753844a0dd91f5be3536566e843d97d"),
+    "resnet3d-lstm": ("670f95690872bb2480290b0a6d6055b0e0640671d16e6c418071df225ca8edc0",
+                      "8caf0ba23e4c675409fa571945640058f5b24df722f92e619c642fc3185f6a75",
+                      "a4a3c10144815959242f5dfdbcc2684f0d50323d8a4a1b6222db81b21c56535a"),
+    "resnet3d-s": ("583d5b25100a3558a3275e83f4c557f643288f50239003443fd622ff3d0dba14",
+                   "a89155d95b685ab6c2244f1cf93c984cd47be6fbae48d2b913a4bde95e7ea941",
+                   "3d5cf0fd973a08122761e1d14bb6316a69d50bfcf7bbb32877ea4e318719cecb"),
+    "resnet3d-st": ("583d5b25100a3558a3275e83f4c557f643288f50239003443fd622ff3d0dba14",
+                    "a89155d95b685ab6c2244f1cf93c984cd47be6fbae48d2b913a4bde95e7ea941",
+                    "e57d1c0a1815c15b7be2e1935c907ee819d7bed2db3682196704d09ac524f0ec"),
+    "resnet4d": ("56ddd35508937583140a1435545b66ffce9f7d607383fa2c0ef79e3f5d6b8a69",
+                 "a89155d95b685ab6c2244f1cf93c984cd47be6fbae48d2b913a4bde95e7ea941",
+                 "e161e6fd6d2ae32dd8a5803159567b71d836aee7afbc52054179dbca0a3a518f"),
+}
+
+
+@pytest.mark.parametrize("arch", sorted(A.ARCH_TABLE))
+def test_registry_and_checkpoint_bytes_pinned(arch, tmp_path):
+    rep = A.ARCH_TABLE[arch][2][0]
+    net = A.build(A.config_from_arch(arch, rep, history=2, base_channels=4, n_blocks=2,
+                                     spatial_output_stride=2), seed=0)
+    path = tmp_path / "model.ckpt"
+    A.save_checkpoint(path, net, TR.Ema(net.named_params()).arrays())
+    got = (_digest(f"{n}:{p.shape}" for n, p in net.named_params()),
+           _digest(f"{n}:{b.shape}" for n, b in net.named_buffers()),
+           hashlib.sha256(path.read_bytes()).hexdigest())
+    assert got == REGISTRY_PINS[arch]

@@ -4,11 +4,12 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from volforce import architectures as A
 from volforce import ops
 from volforce import tensor as T
 from volforce.tensor import Tensor
 
-from helpers import loop_conv_nd, rel_err
+from helpers import loop_conv_nd, rel_err, square
 
 
 def _rand_init(rng, scale=0.3):
@@ -16,6 +17,13 @@ def _rand_init(rng, scale=0.3):
         return (rng.normal(size=shape) * scale).astype(T.default_dtype())
 
     return init
+
+
+def _head(W: np.ndarray, bias: float) -> A._Head:
+    """The scalar head with weights ``W`` [c, 1] and bias ``bias``."""
+    head = A._Head(W.shape[0], lambda shape: W)
+    head.b.data[:] = bias
+    return head
 
 
 class TestConvReference:
@@ -82,7 +90,7 @@ class TestConvPrimitive:
             K = Tensor(rng.normal(size=(3, 3, 3, 1, 2)) * 0.4, requires_grad=True)
             for stride in (1, 2):
                 err = T.finite_diff_check(
-                    lambda: T.tsum(ops.conv_spatial(x, K, stride) ** 2.0), [x, K], eps=1e-4)
+                    lambda: T.tsum(square(ops.conv_spatial(x, K, stride))), [x, K], eps=1e-4)
                 assert err < 1e-4
 
     def test_gathered_columns_are_chunked_and_not_kept(self, rng, monkeypatch):
@@ -333,7 +341,7 @@ class TestResidualBlock:
             params = [p for _, p in b1.named_params()] + [p for _, p in b2.named_params()]
 
             def f():
-                return T.tmean(b2(b1(x, True), True) ** 2.0)
+                return T.tmean(square(b2(b1(x, True), True)))
 
             assert T.finite_diff_check(f, params, eps=1e-4, max_elements=6) < 1e-4
 
@@ -364,14 +372,13 @@ class TestPoolingAndHead:
 
     def test_dense_zero_weights_gives_bias(self, rng):
         x = Tensor(rng.normal(size=(4, 6)).astype(np.float32))
-        out = ops.dense(x, Tensor(np.zeros((6, 1))), Tensor([0.3]))
+        out = _head(np.zeros((6, 1)), 0.3)(x)
         npt.assert_allclose(out.data, 0.3, rtol=1e-6)
 
     def test_dense_one_hot_selects_row(self):
-        W = Tensor(np.arange(5, dtype=np.float32).reshape(5, 1))
         x = np.zeros((1, 5), dtype=np.float32)
         x[0, 3] = 1.0
-        out = ops.dense(Tensor(x), W, Tensor([0.5]))
+        out = _head(np.arange(5.0).reshape(5, 1), 0.5)(Tensor(x))
         npt.assert_allclose(out.data, [[3.5]])
 
     def test_dense_matches_matmul_oracle(self, rng):
@@ -379,7 +386,7 @@ class TestPoolingAndHead:
             from helpers import loop_matmul
             x = rng.normal(size=(3, 4))
             W = rng.normal(size=(4, 1))
-            out = ops.dense(Tensor(x), Tensor(W), Tensor([0.7])).data
+            out = _head(W, 0.7)(Tensor(x)).data
             npt.assert_allclose(out, loop_matmul(x, W) + 0.7, rtol=1e-12)
 
 
@@ -422,12 +429,3 @@ class TestInvariants:
         rhs = (alpha * ops.conv_st(x, K, 1).data
                + beta * ops.conv_st(y, K, 1).data)
         assert rel_err(lhs, rhs) <= 1e-5
-
-    def test_temporal_stride_never_strided(self):
-        spec = ops.ConvSpec(kernel=(3, 3, 3, 3), in_channels=1, out_channels=2,
-                            stride=2, temporal=True)
-        assert spec.temporal and spec.stride == 2  # stride applies spatially only
-
-    def test_even_kernel_rejected(self):
-        with pytest.raises(ValueError, match="odd"):
-            ops.ConvSpec(kernel=(2, 3, 3), in_channels=1, out_channels=1)

@@ -221,6 +221,33 @@ class TestFileFormat:
             assert a.meta.kind == b.meta.kind
             npt.assert_allclose(a.meta.knots_t, b.meta.knots_t)
 
+    def test_config_round_trip_every_field(self, tmp_path):
+        cfg = P.SimConfig(
+            trajectory=P.TrajectoryConfig(kind="spline", amplitude_mm=(1.5, 2.5),
+                                          frequency_hz=(2.0, 4.5), contact_mm=0.25,
+                                          max_mm=3.0, rate_hz=30.0, n_samples=10, seed=7),
+            h=4, w=5, d_raw=8, lateral_fov_mm=2.5, depth_fov_mm=3.25, decay_mm=0.5,
+            noise=False, hard_mode=True, force=P.ForceParams(k1=150.0, k2=40.0, c=2.5))
+        # every setting differs from its default, so one the file drops shows
+        defaults = dict(P._config_fields(P.SimConfig()))
+        assert all(value != defaults[name] for name, value in P._config_fields(cfg))
+        path = tmp_path / "ds.oct4d"
+        P.write_dataset_streamed(path, 3, cfg, (0.4, 0.3, 0.3))
+        assert P.load_dataset(path).config == cfg
+
+    def test_file_without_settings_loads_defaults(self, tmp_path, monkeypatch):
+        # files written before every setting was recorded carry only these
+        recorded = ("h", "w", "d_raw", "lateral_fov_mm", "depth_fov_mm", "rate_hz")
+        config_fields = P._config_fields
+        monkeypatch.setattr(P, "_config_fields", lambda cfg: (
+            (name, value) for name, value in config_fields(cfg) if name in recorded))
+        path = tmp_path / "ds.oct4d"
+        P.write_dataset_streamed(path, 3, _small_cfg(kind="spline", n=4, seed=7, noise=False,
+                                                     hard=True), (0.4, 0.3, 0.3))
+        monkeypatch.undo()
+        assert P.load_dataset(path).config == P.SimConfig(
+            trajectory=P.TrajectoryConfig(kind="spline"), h=6, w=6, d_raw=32)
+
     def test_corrupted_magic_rejected(self, tmp_path):
         ds = P.generate_dataset(3, _small_cfg(n=4), (0.4, 0.3, 0.3))
         path = tmp_path / "ds.oct4d"

@@ -33,11 +33,21 @@ def _sig(x):
     return 1.0 / (1.0 + np.exp(-x))
 
 
+def _weights(cell):
+    """Gate weight arrays by registry name (w_z, u_z, ...)."""
+    return {name: getattr(cell, name).data for name in cell.gate_names}
+
+
+def _norms(cell):
+    """Gate norms by short name (wz, uz, ...)."""
+    return {name: getattr(cell, "bn_" + name) for name in cell.bn_names}
+
+
 class TestGRUStep:
     def test_closed_update_gate_holds_state(self, rng):
         cell = R.GRUCell(3, 4, _init(rng))
-        cell.bns["wz"].beta.data[:] = -40.0
-        cell.bns["uz"].beta.data[:] = -40.0
+        cell.bn_wz.beta.data[:] = -40.0
+        cell.bn_uz.beta.data[:] = -40.0
         x = Tensor(rng.normal(size=(2, 3)).astype(np.float32))
         h_prev = Tensor(rng.normal(size=(2, 4)).astype(np.float32))
         h = cell.step(x, h_prev, 0, training=True)
@@ -56,12 +66,12 @@ class TestGRUStep:
             hp = rng.normal(size=(2, 4))
             got = cell.step(Tensor(x), Tensor(hp), 0, training=True).data
 
-            w = {k: v.data for k, v in cell.weights.items()}
-            z = _sig(_bn_train_oracle(x @ w["w_z"], cell.bns["wz"])
-                     + _bn_train_oracle(hp @ w["u_z"], cell.bns["uz"]))
-            r = _sig(_bn_train_oracle(x @ w["w_r"], cell.bns["wr"])
-                     + _bn_train_oracle(hp @ w["u_r"], cell.bns["ur"]))
-            cand = np.tanh(_bn_train_oracle(x @ w["w_h"], cell.bns["wh"])
+            w = _weights(cell)
+            z = _sig(_bn_train_oracle(x @ w["w_z"], cell.bn_wz)
+                     + _bn_train_oracle(hp @ w["u_z"], cell.bn_uz))
+            r = _sig(_bn_train_oracle(x @ w["w_r"], cell.bn_wr)
+                     + _bn_train_oracle(hp @ w["u_r"], cell.bn_ur))
+            cand = np.tanh(_bn_train_oracle(x @ w["w_h"], cell.bn_wh)
                            + (r * hp) @ w["u_h"])
             expected = (1 - z) * hp + z * cand
             npt.assert_allclose(got, expected, atol=1e-6)
@@ -70,10 +80,10 @@ class TestGRUStep:
 class TestLSTMStep:
     def test_open_forget_closed_input_keeps_cell(self, rng):
         cell = R.LSTMCell(3, 4, _init(rng))
-        cell.bns["wf"].beta.data[:] = 40.0
-        cell.bns["uf"].beta.data[:] = 40.0
-        cell.bns["wi"].beta.data[:] = -40.0
-        cell.bns["ui"].beta.data[:] = -40.0
+        cell.bn_wf.beta.data[:] = 40.0
+        cell.bn_uf.beta.data[:] = 40.0
+        cell.bn_wi.beta.data[:] = -40.0
+        cell.bn_ui.beta.data[:] = -40.0
         x = Tensor(rng.normal(size=(2, 3)).astype(np.float32))
         hp = Tensor(rng.normal(size=(2, 4)).astype(np.float32))
         cp = Tensor(rng.normal(size=(2, 4)).astype(np.float32))
@@ -95,11 +105,11 @@ class TestLSTMStep:
             cp = rng.normal(size=(2, 4))
             h, c = cell.step(Tensor(x), (Tensor(hp), Tensor(cp)), 0, training=True)
 
-            w = {k: v.data for k, v in cell.weights.items()}
+            w = _weights(cell)
 
             def path(g):
-                return (_bn_train_oracle(x @ w["w_" + g], cell.bns["w" + g])
-                        + _bn_train_oracle(hp @ w["u_" + g], cell.bns["u" + g]))
+                return (_bn_train_oracle(x @ w["w_" + g], getattr(cell, "bn_w" + g))
+                        + _bn_train_oracle(hp @ w["u_" + g], getattr(cell, "bn_u" + g)))
 
             i, f, o, g = _sig(path("i")), _sig(path("f")), _sig(path("o")), np.tanh(path("g"))
             c_exp = f * cp + i * g
@@ -113,8 +123,8 @@ class TestConvCells:
         vec = R.GRUCell(3, 4, init)
         conv = R.ConvGRUCell(3, 4, 3, init, k=1)
         for name in vec.gate_names:
-            conv.weights[name].data[:] = vec.weights[name].data.reshape(
-                conv.weights[name].shape)
+            getattr(conv, name).data[:] = getattr(vec, name).data.reshape(
+                getattr(conv, name).shape)
         x = rng.normal(size=(2, 3)).astype(np.float32)
         hv = vec.step(Tensor(x), Tensor(np.zeros((2, 4), np.float32)), 0, True)
         hc = conv.step(Tensor(x.reshape(2, 1, 1, 1, 3)),
@@ -123,8 +133,8 @@ class TestConvCells:
 
     def test_closed_update_gate_keeps_state_elementwise(self, rng):
         cell = R.ConvGRUCell(2, 3, 3, _init(rng))
-        cell.bns["wz"].beta.data[:] = -40.0
-        cell.bns["uz"].beta.data[:] = -40.0
+        cell.bn_wz.beta.data[:] = -40.0
+        cell.bn_uz.beta.data[:] = -40.0
         x = Tensor(rng.normal(size=(2, 4, 4, 4, 2)).astype(np.float32))
         hp = Tensor(rng.normal(size=(2, 4, 4, 4, 3)).astype(np.float32))
         h = cell.step(x, hp, 0, training=True)
@@ -139,17 +149,17 @@ class TestConvCells:
             hp = rng.normal(size=(1, 4, 4, 4, 3))
             got = cell.step(Tensor(x), Tensor(hp), 0, training=False).data
 
-            w = {k: v.data for k, v in cell.weights.items()}
+            w = _weights(cell)
 
             def bn_eval(pre, bn):
                 return (pre / math.sqrt(1.0 + bn.eps)) * bn.gamma.data + bn.beta.data
 
             conv = ops.conv_nd_reference
-            z = _sig(bn_eval(conv(x, w["w_z"]), cell.bns["wz"])
-                     + bn_eval(conv(hp, w["u_z"]), cell.bns["uz"]))
-            r = _sig(bn_eval(conv(x, w["w_r"]), cell.bns["wr"])
-                     + bn_eval(conv(hp, w["u_r"]), cell.bns["ur"]))
-            cand = np.tanh(bn_eval(conv(x, w["w_h"]), cell.bns["wh"])
+            z = _sig(bn_eval(conv(x, w["w_z"]), cell.bn_wz)
+                     + bn_eval(conv(hp, w["u_z"]), cell.bn_uz))
+            r = _sig(bn_eval(conv(x, w["w_r"]), cell.bn_wr)
+                     + bn_eval(conv(hp, w["u_r"]), cell.bn_ur))
+            cand = np.tanh(bn_eval(conv(x, w["w_h"]), cell.bn_wh)
                            + conv(r * hp, w["u_h"]))
             expected = (1 - z) * hp + z * cand
             assert np.abs(got - expected).max() <= 1e-5
@@ -162,7 +172,7 @@ class TestConvCells:
             cp = rng.normal(size=(1, 5, 5, 3))
             h, c = cell.step(Tensor(x), (Tensor(hp), Tensor(cp)), 0, training=False)
 
-            w = {k: v.data for k, v in cell.weights.items()}
+            w = _weights(cell)
 
             def bn_eval(pre, bn):
                 return (pre / math.sqrt(1.0 + bn.eps)) * bn.gamma.data + bn.beta.data
@@ -170,8 +180,8 @@ class TestConvCells:
             conv = ops.conv_nd_reference
 
             def path(g):
-                return (bn_eval(conv(x, w["w_" + g]), cell.bns["w" + g])
-                        + bn_eval(conv(hp, w["u_" + g]), cell.bns["u" + g]))
+                return (bn_eval(conv(x, w["w_" + g]), getattr(cell, "bn_w" + g))
+                        + bn_eval(conv(hp, w["u_" + g]), getattr(cell, "bn_u" + g)))
 
             i, f, o, g = _sig(path("i")), _sig(path("f")), _sig(path("o")), np.tanh(path("g"))
             c_exp = f * cp + i * g
@@ -183,8 +193,8 @@ class TestConvCells:
         vec = R.LSTMCell(2, 3, init)
         conv = R.ConvLSTMCell(2, 3, 3, init, k=1)
         for name in vec.gate_names:
-            conv.weights[name].data[:] = vec.weights[name].data.reshape(
-                conv.weights[name].shape)
+            getattr(conv, name).data[:] = getattr(vec, name).data.reshape(
+                getattr(conv, name).shape)
         x = rng.normal(size=(2, 2)).astype(np.float32)
         hv, cv = vec.step(Tensor(x), vec.initial_state(Tensor(x)), 0, True)
         xc = Tensor(x.reshape(2, 1, 1, 1, 2))
@@ -194,10 +204,10 @@ class TestConvCells:
 
     def test_saturated_forget_identity_conv_lstm(self, rng):
         cell = R.ConvLSTMCell(2, 3, 3, _init(rng))
-        cell.bns["wf"].beta.data[:] = 40.0
-        cell.bns["uf"].beta.data[:] = 40.0
-        cell.bns["wi"].beta.data[:] = -40.0
-        cell.bns["ui"].beta.data[:] = -40.0
+        cell.bn_wf.beta.data[:] = 40.0
+        cell.bn_uf.beta.data[:] = 40.0
+        cell.bn_wi.beta.data[:] = -40.0
+        cell.bn_ui.beta.data[:] = -40.0
         x = Tensor(rng.normal(size=(2, 4, 4, 4, 2)).astype(np.float32))
         hp = Tensor(rng.normal(size=(2, 4, 4, 4, 3)).astype(np.float32))
         cp = Tensor(rng.normal(size=(2, 4, 4, 4, 3)).astype(np.float32))
@@ -262,8 +272,8 @@ class TestUnroll:
 
     def test_identity_cell_returns_h0(self, rng):
         cell = R.GRUCell(3, 4, _init(rng))
-        cell.bns["wz"].beta.data[:] = -40.0
-        cell.bns["uz"].beta.data[:] = -40.0
+        cell.bn_wz.beta.data[:] = -40.0
+        cell.bn_uz.beta.data[:] = -40.0
         x = Tensor(rng.normal(size=(2, 5, 3)).astype(np.float32))
         h0 = Tensor(rng.normal(size=(2, 4)).astype(np.float32))
         h = R.unroll(cell, x, h0=h0, training=True)
@@ -276,7 +286,8 @@ class TestUnroll:
             params = [p for _, p in cell.named_params()]
 
             def f():
-                return T.tmean(R.unroll(cell, x, training=True) ** 2.0)
+                h = R.unroll(cell, x, training=True)
+                return T.tmean(h * h)
 
             assert T.finite_diff_check(f, params, eps=1e-4, max_elements=8) < 1e-4
 
@@ -339,7 +350,7 @@ def _input_seq(kind, rng):
 
 def _perturb_norms(cell, rng):
     # nontrivial gains, shifts and running statistics in every slot
-    for bn in cell.bns.values():
+    for bn in _norms(cell).values():
         bn.gamma.data[:] = rng.uniform(0.5, 1.5, size=bn.channels)
         bn.beta.data[:] = rng.normal(size=bn.channels) * 0.3
         bn.running_mean[:] = rng.normal(size=bn.running_mean.shape) * 0.5
@@ -350,15 +361,16 @@ def _reference_unroll(cell, x, training, return_sequence, h0=None, c0=None):
     """One map and one norm per gate per timestep, from the numpy oracles
     (``conv_nd_reference``, ``_bn_train_oracle``, ``_sig``), on copies of the
     running statistics; returns (output, {bn name: (mean, var)})."""
-    stats = {n: (bn.running_mean.copy(), bn.running_var.copy()) for n, bn in cell.bns.items()}
-    w = {k: v.data for k, v in cell.weights.items()}
+    norms = _norms(cell)
+    stats = {n: (bn.running_mean.copy(), bn.running_var.copy()) for n, bn in norms.items()}
+    w = _weights(cell)
     conv = isinstance(cell, (R.ConvGRUCell, R.ConvLSTMCell))
 
     def fmap(a, name):
         return ops.conv_nd_reference(a, w[name]) if conv else a @ w[name]
 
     def norm(name, pre, t):
-        bn, (rm, rv) = cell.bns[name], stats[name]
+        bn, (rm, rv) = norms[name], stats[name]
         slot = min(t, bn.t_cap)
         if not training:
             return (pre - rm[slot]) / np.sqrt(rv[slot] + bn.eps) * bn.gamma.data + bn.beta.data
@@ -416,7 +428,7 @@ class TestFusedGates:
             got = R.unroll(cell, Tensor(x), return_sequence=return_sequence,
                            training=training).data
             npt.assert_allclose(got, expected, rtol=0, atol=1e-12)
-            for name, bn in cell.bns.items():
+            for name, bn in _norms(cell).items():
                 npt.assert_allclose(bn.running_mean, stats[name][0], rtol=0, atol=1e-12)
                 npt.assert_allclose(bn.running_var, stats[name][1], rtol=0, atol=1e-12)
 

@@ -109,7 +109,7 @@ class TestAdam:
         npt.assert_array_equal(p.data, [1.5])
 
     def test_nan_gradient_aborts_with_parameter_name(self):
-        p = Tensor(np.array([1.0]), requires_grad=True, name="w")
+        p = Tensor(np.array([1.0]), requires_grad=True)
         adam = TR.Adam([("head.W", p)], learning_rate=1e-2)
         p.grad = np.array([np.nan])
         with pytest.raises(FloatingPointError, match="head.W"):
