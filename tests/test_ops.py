@@ -113,6 +113,71 @@ class TestConvPrimitive:
         assert peak < full_columns
         assert K.grad is not None
 
+    # multi-channel calls whose first axis keeps stride 1 take the fold path:
+    # (x shape, K shape, stride, temporal); k0 = 2 pads asymmetrically, and
+    # extents of 1 and 2 lie below the kernel as in resnet4d's last blocks
+    FOLD_CASES = {
+        "2d k0=3": ((2, 5, 4, 3), (3, 3, 3, 2), 1, False),
+        "2d temporal k0=2 s2": ((2, 4, 5, 3), (2, 3, 3, 2), 2, True),
+        "2d temporal k_t=1": ((2, 3, 5, 3), (1, 3, 3, 2), 1, True),
+        "3d k0=2": ((2, 4, 5, 3, 2), (2, 3, 2, 2, 3), 1, False),
+        "3d temporal s2": ((2, 3, 5, 4, 2), (3, 3, 3, 2, 3), 2, True),
+        "3d extent 1": ((2, 1, 1, 1, 3), (3, 3, 3, 3, 2), 1, False),
+        "4d k0=3": ((2, 3, 4, 3, 5, 2), (3, 3, 3, 3, 2, 2), 1, False),
+        "4d temporal": ((2, 3, 4, 3, 5, 2), (3, 3, 3, 3, 2, 2), 1, True),
+        "4d temporal k0=2 s2": ((1, 4, 3, 4, 5, 3), (2, 3, 3, 3, 3, 2), 2, True),
+        "4d temporal 1^3": ((2, 4, 1, 1, 1, 3), (3, 3, 3, 3, 3, 2), 1, True),
+        "4d temporal 2^3 s2": ((2, 3, 2, 2, 2, 3), (3, 3, 3, 3, 3, 2), 2, True),
+    }
+
+    @pytest.mark.parametrize("case", list(FOLD_CASES))
+    def test_fold_path_matches_reference_and_gradients(self, rng, case):
+        x_shape, K_shape, stride, temporal = self.FOLD_CASES[case]
+        x = rng.normal(size=x_shape)
+        K = rng.normal(size=K_shape) * 0.4
+        fast = ops.conv_nd(Tensor(x.astype(np.float32)), Tensor(K.astype(np.float32)),
+                           stride, temporal).data
+        ref = ops.conv_nd_reference(x.astype(np.float32), K.astype(np.float32),
+                                    stride, temporal)
+        assert fast.shape == ref.shape
+        assert rel_err(fast, ref) <= 1e-5
+        with T.use_dtype(np.float64):
+            xt, Kt = Tensor(x, requires_grad=True), Tensor(K, requires_grad=True)
+            err = T.finite_diff_check(
+                lambda: T.tsum(square(ops.conv_nd(xt, Kt, stride, temporal))), [xt, Kt],
+                eps=1e-4, max_elements=32)
+        assert err < 1e-4
+
+    def test_folded_buffers_are_per_sample_and_not_kept(self, rng):
+        x = Tensor(rng.normal(size=(8, 16, 16, 16, 4)).astype(np.float32), requires_grad=True)
+        K = Tensor(rng.normal(size=(3, 3, 3, 4, 8)).astype(np.float32), requires_grad=True)
+        padded = 8 * 16 * 18 * 18 * 4 * 4  # only the trailing axes are padded
+        out_bytes = 8 * 16 ** 3 * 8 * 4
+        batch_z = 8 * 16 ** 3 * 3 * 8 * 4  # Z of the whole batch, about 3.1 MB
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = ops.conv_spatial(x, K, 1)
+            held = tracemalloc.get_traced_memory()[0] - before
+            T.backward(T.tsum(out))
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        # the graph holds the output and the padded input, no fold buffers
+        assert held < out_bytes + padded + (64 << 10)
+        # beyond the output, padded input, g and dx: less than half a batch Z
+        assert peak < 2 * out_bytes + padded + x.data.nbytes + batch_z // 2
+        assert K.grad is not None and x.grad is not None
+
+    @pytest.mark.parametrize("stride", [0, -1])
+    def test_stride_below_one_rejected(self, rng, stride):
+        x = rng.normal(size=(1, 4, 4, 2)).astype(np.float32)
+        K = rng.normal(size=(3, 3, 2, 2)).astype(np.float32)
+        with pytest.raises(ValueError, match=f"stride={stride}"):
+            ops.conv_nd(Tensor(x), Tensor(K), stride)
+        with pytest.raises(ValueError, match=f"stride={stride}"):
+            ops.conv_nd_reference(x, K, stride)
+
     def test_one_graph_node_per_call(self, rng):
         x = Tensor(rng.normal(size=(2, 3, 4, 4, 4, 2)).astype(np.float32), requires_grad=True)
         K = Tensor(rng.normal(size=(3, 3, 3, 3, 2, 3)).astype(np.float32), requires_grad=True)
@@ -131,6 +196,38 @@ class TestConv4d:
         per_step = np.stack([ops.conv_spatial(x[:, t], K[0], 1).data
                              for t in range(3)], axis=1)
         npt.assert_array_equal(merged, per_step)
+        # backward: dx per frame, and dK as the per-frame partials summed in
+        # sample order (batch-major, then time)
+        G = rng.normal(size=merged.shape).astype(np.float32)
+        xg, Kg = Tensor(x.data, requires_grad=True), Tensor(K.data, requires_grad=True)
+        T.backward(T.tsum(ops.conv_st(xg, Kg, stride=1) * Tensor(G)))
+        dK = None
+        for b in range(2):
+            for t in range(3):
+                xf = Tensor(x.data[b:b + 1, t], requires_grad=True)
+                Kf = Tensor(K.data[0], requires_grad=True)
+                T.backward(T.tsum(ops.conv_spatial(xf, Kf, 1) * Tensor(G[b:b + 1, t])))
+                npt.assert_array_equal(xg.grad[b:b + 1, t], xf.grad)
+                dK = Kf.grad if dK is None else dK + Kf.grad
+        npt.assert_array_equal(Kg.grad[0], dK)
+
+    def test_kt1_never_calls_conv_spatial(self, rng, monkeypatch):
+        # conv_st with k_t = 1 is one node over (x, K), not a composition
+        def forbidden(*args):
+            raise AssertionError("conv_st must not call conv_spatial")
+
+        monkeypatch.setattr(ops, "conv_spatial", forbidden)
+        x = Tensor(rng.normal(size=(2, 3, 4, 4, 4, 2)).astype(np.float32), requires_grad=True)
+        K = Tensor(rng.normal(size=(1, 3, 3, 3, 2, 3)).astype(np.float32), requires_grad=True)
+        shortcut = Tensor(rng.normal(size=(1, 1, 1, 1, 2, 4)).astype(np.float32),
+                          requires_grad=True)
+        for kernel, stride, shape in ((K, 1, (2, 3, 4, 4, 4, 3)),
+                                      (shortcut, 2, (2, 3, 2, 2, 2, 4))):
+            out = ops.conv_st(x, kernel, stride)
+            assert out.shape == shape
+            assert out._parents == (x, kernel)
+            T.backward(T.tsum(out))
+        assert x.grad.shape == x.shape and K.grad.shape == K.shape
 
     @pytest.mark.parametrize("chunk_bytes", [ops.GATHER_CHUNK_BYTES, 1])
     def test_kt1_equals_per_timestep_3d_one_channel(self, rng, monkeypatch, chunk_bytes):
