@@ -10,12 +10,17 @@ symmetric (non-causal) SAME padding.
 ``conv_spatial``, ``conv_st`` and ``factorized_conv`` are calls of it.
 It has three array paths, chosen by shape: gathered columns for a
 1-channel input (a per-offset GEMM would have an inner dimension of 1);
-a one-axis fold of the first axis's taps into the GEMM's output columns,
-run per sample, when that axis has stride 1 (a third of the GEMMs, on
-buffers that stay in cache); and one GEMM per offset over the batch when
-it is strided (folding would compute every unstrided position).  A
-temporal axis with k_t = 1 joins the batch, so that call is exactly the
-per-frame convolution.
+a fold, run per sample, when the first axis has stride 1; and one GEMM
+per offset over the batch when it is strided (folding would compute
+every unstrided position).  The fold moves the first axis's taps into
+the GEMM's output columns (a one-axis kn2row) and the last axis's taps
+into its inner dimension (a one-axis im2col, free because with channels
+last they are one contiguous run): 9 GEMMs rather than 81 for 4D, on
+buffers that stay in cache.  Its dx is the same fold run on the output
+gradient with the kernel flipped when stride 1 and odd kernels make the
+padding symmetric, and a scatter otherwise.  A temporal axis with
+k_t = 1 joins the batch, so that call is exactly the per-frame
+convolution.
 
 ``conv_nd_reference`` is the slow, straight-line evaluation of the N-D
 convolution sum and is the correctness oracle for every faster path in
@@ -30,6 +35,7 @@ from itertools import product as iproduct
 from typing import Callable
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from volforce import tensor as T
 from volforce.tensor import Tensor
@@ -182,77 +188,135 @@ def _conv_offsets(xd, Kd, strides, geom):
 
 
 def _conv_folded(xd, Kd, strides, geom):
-    """Multi-channel input, first axis at stride 1: that axis's k0 taps fold
-    into the GEMM's output columns (a one-axis kn2row).
+    """Multi-channel input, first axis at stride 1: a one-axis kn2row on the
+    first axis and a one-axis im2col on the last, one sample at a time.
 
-    Per sample, each trailing kernel offset j copies its window
-    [e0, *out_trail, c_in] into one reused buffer and adds ``buf @ Kf[j]``
-    into Z [e0, *out_trail, k0 * c_out]; k0 shifted whole-frame adds of Z's
-    column blocks then give the output.  Only the trailing axes are padded.
+    The first axis's k0 taps fold into the GEMM's output columns.  With
+    channels last, the k_l taps × c_in of one output position along the
+    last axis are one contiguous run of the padded input, so they fold
+    into the GEMM's inner dimension at no extra copy.  Per sample, the
+    trailing axes are zero-padded into one reused buffer; each middle
+    offset j (over the axes between the first and the last) copies its
+    window [e0, *out_mid, o_l, k_l, c_in] into one reused buffer and adds
+    ``buf @ Kf[j]`` into Z [e0, *out_trail, k0 * c_out]; k0 shifted
+    whole-frame adds of Z's column blocks then give the output.  That is
+    9 GEMMs per sample for 4D, 3 for 3D and 1 for 2D.  Middle offsets
+    whose window lies wholly in the padding add nothing and are skipped.
+    A call with no trailing axis gets a unit one.
+
     Backward builds dZ from k0 shifted copies of g per sample; dK sums the
-    per-sample partials in sample order.
+    per-sample partials ``bufᵀ @ dZ`` in sample order.  dx takes one of
+    two routes.  With stride 1 and odd kernel extents on every axis the
+    SAME padding is symmetric, so dx is this function's forward of g with
+    the kernel flipped on every axis and c_in, c_out swapped: GEMMs of the
+    forward's shape and no scatter.  A strided or even-kernel call's dx is
+    no SAME convolution of g, so it scatters ``dZ @ Kf[j]ᵀ`` into a padded
+    sample with k_l strided adds per offset.
     """
+    out_shape = (xd.shape[0],) + tuple(g[0] for g in geom) + (Kd.shape[-1],)
+    if xd.ndim == 3:
+        xd, Kd, strides, geom = xd[:, :, None], Kd[:, None], strides + (1,), geom + [(1, 0, 0)]
     batch, e0, cin = xd.shape[0], xd.shape[1], xd.shape[-1]
-    k0, cout = Kd.shape[0], Kd.shape[-1]
+    k0, kl, cout = Kd.shape[0], Kd.shape[-3], Kd.shape[-1]
     lo0 = geom[0][1]
     out_trail = tuple(g[0] for g in geom[1:])
-    xp, inner = _pad(xd, ((0, 0), (0, 0)) + tuple(g[1:] for g in geom[1:]) + ((0, 0),))
-    offset_index = _window_index(Kd.shape[1:-2], out_trail, strides[1:])
-    Kf = np.moveaxis(Kd, 0, -2).reshape(len(offset_index), cin, k0 * cout)
+    padded_trail = tuple(e + lo + hi for e, (_, lo, hi) in zip(xd.shape[2:-1], geom[1:]))
+    inner = (slice(None),) + tuple(slice(lo, lo + e)
+                                   for e, (_, lo, _) in zip(xd.shape[2:-1], geom[1:]))
+    Kf = np.moveaxis(Kd, 0, -2).reshape(-1, kl * cin, k0 * cout)
+    # per middle offset (row-major), its window into a sample's last-axis
+    # windows, which already hold the last axis's taps
+    mid_kernel = Kd.shape[1:-3]
+    index = _window_index(mid_kernel + (1,), out_trail, strides[1:])
+    live = [j for j, k_coord in enumerate(iproduct(*map(range, mid_kernel)))
+            if all(k + (o - 1) * s >= lo and k - lo < e for k, (o, lo, _), s, e
+                   in zip(k_coord, geom[1:-1], strides[1:-1], xd.shape[2:-2]))]
     frame = int(np.prod(out_trail))
     rows = e0 * frame
     # (tap k, output frames a0:a1) with input frame a + k - lo0 inside [0, e0);
     # the centre tap k = lo0 covers every frame and goes first
     taps = [(lo0, 0, e0)] + [(k, max(0, lo0 - k), min(e0, e0 + lo0 - k))
                              for k in range(k0) if k != lo0]
-    buf = np.empty((e0,) + out_trail + (cin,), dtype=xd.dtype)
-    buf2d = buf.reshape(rows, cin)
+
+    def padded_sample(c, writeable=False):
+        """One zeroed buffer for a sample padded on the trailing axes, and its
+        last-axis windows [e0, *padded_mid, positions, k_l, c] (a view)."""
+        p = np.zeros((e0,) + padded_trail + (c,), dtype=xd.dtype)
+        return p, np.swapaxes(sliding_window_view(p, kl, axis=-2, writeable=writeable), -1, -2)
+
+    # the output before the per-sample buffers: with glibc's heap this order
+    # measured a lower peak RSS in batch-64 inference
+    out = np.empty((batch, e0, frame, cout), dtype=xd.dtype)
+    xp, xw = padded_sample(cin)
+    buf = np.empty((rows, kl * cin), dtype=xd.dtype)
+    buf_nd = buf.reshape((e0,) + out_trail + (kl, cin))
     Z = np.empty((rows, k0 * cout), dtype=xd.dtype)
     Z3 = Z.reshape(e0, frame, k0, cout)
     prod = np.empty_like(Z)
-    out = np.empty((batch, e0, frame, cout), dtype=xd.dtype)
     for b in range(batch):
-        for j, index in enumerate(offset_index):
-            np.copyto(buf, xp[b][index])
-            if j == 0:
-                np.matmul(buf2d, Kf[0], out=Z)
+        xp[inner] = xd[b]
+        for i, j in enumerate(live):
+            np.copyto(buf_nd, xw[index[j]])
+            if i == 0:
+                np.matmul(buf, Kf[j], out=Z)
             else:
-                Z += np.matmul(buf2d, Kf[j], out=prod)
+                Z += np.matmul(buf, Kf[j], out=prod)
         for k, a0, a1 in taps:
             if k == lo0:
                 np.copyto(out[b], Z3[:, :, k])
             else:
                 out[b, a0:a1] += Z3[a0 + k - lo0:a1 + k - lo0, :, k]
+    flip_dx = all(s == 1 for s in strides) and all(k % 2 for k in Kd.shape[:-2])
 
-    def grads(g, need_dx, need_dK):
+    def dz_pass(g, need_dK, scatter):
+        """dK and/or the scatter dx, from dZ built per sample."""
         g3 = g.reshape(batch, e0, frame, cout)
-        buf = np.empty((e0,) + out_trail + (cin,), dtype=xd.dtype)
-        buf2d = buf.reshape(rows, cin)
+        xp, xw = padded_sample(cin)
+        buf = np.empty((rows, kl * cin), dtype=xd.dtype)
+        buf_nd = buf.reshape((e0,) + out_trail + (kl, cin))
         dZ = np.zeros((rows, k0 * cout), dtype=xd.dtype)  # unread frames stay zero
         dZ3 = dZ.reshape(e0, frame, k0, cout)
-        dKf = np.empty_like(Kf) if need_dK else None
+        dKf = np.zeros_like(Kf) if need_dK else None  # skipped offsets stay zero
         part = np.empty_like(Kf[0])
-        dxp = np.zeros_like(xp) if need_dx else None
-        dbuf = np.empty_like(buf2d)
+        if scatter:
+            dxp, dxw = padded_sample(cin, writeable=True)
+            dx = np.empty_like(xd)
         for b in range(batch):
             for k, a0, a1 in taps:
                 dZ3[a0 + k - lo0:a1 + k - lo0, :, k] = g3[b, a0:a1]
-            for j, index in enumerate(offset_index):
+            if need_dK:
+                xp[inner] = xd[b]
+            if scatter:
+                dxp.fill(0)
+            for j in live:
                 if need_dK:
-                    np.copyto(buf, xp[b][index])
+                    np.copyto(buf_nd, xw[index[j]])
                     if b == 0:
-                        np.matmul(buf2d.T, dZ, out=dKf[j])
+                        np.matmul(buf.T, dZ, out=dKf[j])
                     else:
-                        dKf[j] += np.matmul(buf2d.T, dZ, out=part)
-                if need_dx:
-                    np.matmul(dZ, Kf[j].T, out=dbuf)
-                    dxp[b][index] += dbuf.reshape(buf.shape)
-        dK = None
+                        dKf[j] += np.matmul(buf.T, dZ, out=part)
+                if scatter:
+                    np.matmul(dZ, Kf[j].T, out=buf)
+                    target = dxw[index[j]]
+                    for t in range(kl):
+                        target[..., t, :] += buf_nd[..., t, :]
+            if scatter:
+                dx[b] = dxp[inner]
+        return dKf, (dx if scatter else None)
+
+    def grads(g, need_dx, need_dK):
+        scatter = need_dx and not flip_dx
+        dKf = dx = dK = None
+        if need_dK or scatter:
+            dKf, dx = dz_pass(g, need_dK, scatter)
+        if need_dx and flip_dx:
+            Kt = np.swapaxes(Kd[(slice(None, None, -1),) * (Kd.ndim - 2)], -1, -2)
+            dx = _conv_folded(g.reshape(xd.shape[:-1] + (cout,)), Kt, strides, geom)[0]
         if need_dK:
             dK = np.moveaxis(dKf.reshape(Kd.shape[1:-1] + (k0, cout)), -2, 0)
-        return (None if dxp is None else dxp[inner]), dK
+        return dx, dK
 
-    return out.reshape((batch, e0) + out_trail + (cout,)), grads
+    return out.reshape(out_shape), grads
 
 
 def conv_nd(x: Tensor, K: Tensor, stride: int = 1, temporal: bool = False) -> Tensor:
@@ -260,13 +324,18 @@ def conv_nd(x: Tensor, K: Tensor, stride: int = 1, temporal: bool = False) -> Te
 
     x: [b, *axes, c_in], K: [*kernel, c_in, c_out]; with ``temporal`` the
     first convolved axis is time and keeps stride 1.  One graph node per
-    call; the backward keeps only the padded input.  Three array paths:
+    call; the backward keeps only the input (padded on the per-offset
+    paths; the fold pads one sample at a time).  Three array paths:
 
     - c_in = 1: windows gathered into columns, one GEMM per batch chunk,
       because a 1-channel GEMM per offset would have an inner dimension of 1;
     - c_in > 1, first axis at stride 1: that axis's taps fold into the
-      GEMM's output columns, one sample at a time (one GEMM per trailing
-      offset: 27 rather than 81 for 4D), so the buffers stay in cache;
+      GEMM's output columns and the last axis's taps into its inner
+      dimension, one sample at a time (one GEMM per middle offset: 9
+      rather than 81 for 4D), so the buffers stay in cache.  dx is the
+      same fold of g with the flipped kernel when stride 1 and odd
+      kernels make the padding symmetric (GEMMs of the forward's shape,
+      no scatter); strided or even kernels scatter dx;
     - c_in > 1, strided first axis: one GEMM per offset over the batch,
       since folding would compute Z at every unstrided position (measured
       1.3-2x slower at batch 8).

@@ -148,6 +148,48 @@ class TestConvPrimitive:
                 eps=1e-4, max_elements=32)
         assert err < 1e-4
 
+    # <conv(x, K), g> = <x, dx> = <K, dK> in float64 involves every entry of
+    # dx and dK, where the finite-difference check samples 32; the strided
+    # first axis takes the per-offset path
+    ADJOINT_CASES = dict(FOLD_CASES, **{"3d s2": ((2, 5, 4, 3, 2), (3, 3, 3, 2, 3), 2, False)})
+
+    @pytest.mark.parametrize("case", list(ADJOINT_CASES))
+    def test_adjoint_identity_float64(self, rng, case):
+        x_shape, K_shape, stride, temporal = self.ADJOINT_CASES[case]
+        with T.use_dtype(np.float64):
+            x = Tensor(rng.normal(size=x_shape), requires_grad=True)
+            K = Tensor(rng.normal(size=K_shape), requires_grad=True)
+            out = ops.conv_nd(x, K, stride, temporal)
+            g = rng.normal(size=out.shape)
+            T.backward(T.tsum(out * Tensor(g)))
+        forward = np.vdot(out.data, g)
+        assert abs(np.vdot(x.data, x.grad) - forward) <= 1e-12 * abs(forward)
+        assert abs(np.vdot(K.data, K.grad) - forward) <= 1e-12 * abs(forward)
+
+    # stride 1 and odd kernels on every axis: dx is the fold of g with the
+    # flipped kernel (a second _conv_folded call); otherwise dx is scattered
+    @pytest.mark.parametrize("case, dx_by_forward", [
+        ("2d k0=3", True), ("2d temporal k_t=1", True), ("4d temporal", True),
+        ("3d extent 1", True), ("3d k0=2", False), ("3d temporal s2", False),
+        ("4d temporal k0=2 s2", False)])
+    def test_fold_dx_route(self, rng, monkeypatch, case, dx_by_forward):
+        calls = []
+        fold = ops._conv_folded
+
+        def counted(*args):
+            calls.append(args[0].shape)
+            return fold(*args)
+
+        monkeypatch.setattr(ops, "_conv_folded", counted)
+        x_shape, K_shape, stride, temporal = self.FOLD_CASES[case]
+        K = Tensor(rng.normal(size=K_shape).astype(np.float32), requires_grad=True)
+        for x_grad in (False, True):
+            x = Tensor(rng.normal(size=x_shape).astype(np.float32), requires_grad=x_grad)
+            out = ops.conv_nd(x, K, stride, temporal)
+            del calls[:]
+            T.backward(T.tsum(out))
+            assert len(calls) == (x_grad and dx_by_forward)
+
     def test_folded_buffers_are_per_sample_and_not_kept(self, rng):
         x = Tensor(rng.normal(size=(8, 16, 16, 16, 4)).astype(np.float32), requires_grad=True)
         K = Tensor(rng.normal(size=(3, 3, 3, 4, 8)).astype(np.float32), requires_grad=True)
