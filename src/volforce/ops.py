@@ -460,7 +460,11 @@ def batch_norm(x: Tensor, state: BatchNorm, training: bool, slot: int = 0) -> Te
     timestep ([slots, c]); plain [c] statistics have only slot 0.  The
     forward evaluates the two-pass expression (mean as a sum times 1/n,
     then the mean of squared deviations); the backward is the closed form
-    and keeps only x_hat and sigma.
+    and keeps only x_hat and sigma.  When no graph is recorded (inference
+    under ``T.no_grad``) and gamma and beta do not widen x_hat's dtype,
+    x_hat is scaled and shifted in place, so the call allocates one array
+    the size of x instead of two: the same values, bit for bit, and one
+    large temporary fewer at the peak of a batch-64 forward.
     """
     if x.shape[-1] != state.channels:
         raise ValueError(f"expected {state.channels} channels, got {x.shape[-1]}")
@@ -483,9 +487,16 @@ def batch_norm(x: Tensor, state: BatchNorm, training: bool, slot: int = 0) -> Te
         mu = np.asarray(running_mean, dt)
         sigma = np.asarray(np.sqrt(running_var + state.eps), dt)
     # the op-by-op norm's expressions in its order: bit-identical outputs
-    x_hat = (x.data - mu) / sigma
+    x_hat = x.data - mu
+    x_hat /= sigma
     gamma, beta = state.gamma, state.beta
-    out = x_hat * gamma.data + beta.data
+    records = T._GRAD_ENABLED and (x.requires_grad or gamma.requires_grad or beta.requires_grad)
+    if records or np.result_type(x_hat, gamma.data, beta.data) != x_hat.dtype:
+        out = x_hat * gamma.data + beta.data
+    else:  # no graph keeps x_hat, so it becomes the output
+        out = x_hat
+        out *= gamma.data
+        out += beta.data
 
     def backward_fn(g):
         dbeta = g.sum(axis=axes)

@@ -411,6 +411,27 @@ class TestBatchNorm:
             expected = (x - running_mean.astype(dtype)) / sd * gamma + beta
             npt.assert_array_equal(out, expected)
 
+    def test_no_grad_eval_is_bitwise_and_allocates_one_array(self, rng):
+        bn = ops.BatchNorm(8)
+        bn.gamma.data[:] = rng.normal(size=8)
+        bn.beta.data[:] = rng.normal(size=8)
+        bn.running_mean[:] = rng.normal(size=8)
+        x = Tensor(rng.normal(size=(16, 16, 16, 8)).astype(np.float32))
+        kept = x.data.copy()
+        recorded = bn(x, training=False)
+        with T.no_grad():
+            tracemalloc.start()
+            try:
+                quiet = bn(x, training=False)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert recorded.requires_grad and not quiet.requires_grad
+        npt.assert_array_equal(quiet.data, recorded.data)
+        npt.assert_array_equal(x.data, kept)
+        # x_hat becomes the output: one array the size of x, not two
+        assert peak < 1.5 * x.data.nbytes
+
     def test_training_call_is_one_graph_node_holding_twice_its_input(self, rng):
         bn = ops.BatchNorm(4)
         x = Tensor(rng.normal(size=(8, 6, 4)).astype(np.float32), requires_grad=True)
