@@ -34,7 +34,6 @@ def _parser() -> argparse.ArgumentParser:
         sp.add_argument("--config", help="JSON file with defaults for these flags")
         sp.add_argument("--out", default=".", help="output directory")
         sp.add_argument("--seed", type=int, help="master seed (default 0)")
-        sp.add_argument("--jobs", type=int, help="parallel workers for sweep (default 1)")
 
     gen = sub.add_parser("gen", help="generate a synthetic dataset file")
     common(gen)
@@ -87,6 +86,7 @@ def _parser() -> argparse.ArgumentParser:
     common(sw)
     sw.add_argument("--dataset", help="dataset file from gen")
     model_flags(sw)
+    sw.add_argument("--jobs", type=int, help="parallel workers (default 1)")
     return parser
 
 
@@ -136,6 +136,14 @@ def _fractions(text: str) -> tuple[float, float, float]:
 
 def _int_list(text) -> list[int]:
     return [int(v) for v in str(text).split(",")]
+
+
+def _one_int(settings, key: str) -> int:
+    values = _int_list(settings[key])
+    if len(values) != 1:
+        raise ValueError(f"train takes one --{key} value, got {settings[key]!r}; "
+                         "sweep runs a grid")
+    return values[0]
 
 
 def _run_id(settings, p: int, f: int) -> str:
@@ -213,7 +221,7 @@ def _train_one(settings, p: int, f: int, splits=None, quiet=False):
 
 
 def cmd_train(settings) -> int:
-    p, f = _int_list(settings["history"])[0], _int_list(settings["horizon"])[0]
+    p, f = _one_int(settings, "history"), _one_int(settings, "horizon")
     _, _, _, run_id, ckpt = _train_one(settings, p, f)
     print(f"wrote {ckpt} and {run_id}_loss.csv")
     return 0

@@ -111,10 +111,6 @@ class Dataset:
     config: SimConfig
     experiments: list[Experiment]
 
-    @property
-    def n_samples(self) -> int:
-        return sum(len(e.forces) for e in self.experiments)
-
 
 # -- trajectories -------------------------------------------------------------------
 
@@ -324,13 +320,6 @@ def experiments(n_experiments: int, cfg: SimConfig,
             for i, (split, seed) in enumerate(zip(assignments, seeds)))
 
 
-def generate_dataset(n_experiments: int, cfg: SimConfig,
-                     split_fractions=(0.75, 0.08, 0.17)) -> Dataset:
-    """Deterministic dataset of independent experiments (per-experiment splits)."""
-    return Dataset(config=cfg, experiments=list(experiments(n_experiments, cfg,
-                                                            split_fractions)))
-
-
 # -- file format --------------------------------------------------------------------
 
 
@@ -502,18 +491,6 @@ def _decode_experiment(fh) -> tuple[dict[str, str], Experiment]:
                             timestamps=timestamps)
 
 
-def save_dataset(dataset: Dataset, path, sidecar: bool = True) -> None:
-    """Serialize to the binary dataset format plus a human-readable sidecar."""
-    parts = [MAGIC, struct.pack("<I", FORMAT_VERSION),
-             struct.pack("<I", len(dataset.experiments))]
-    for exp in dataset.experiments:
-        parts.append(encode_experiment(exp, dataset.config))
-    atomic_write(path, b"".join(parts))
-    if sidecar:
-        write_sidecar(path, dataset.config, [(e.meta.split, len(e.forces))
-                                             for e in dataset.experiments])
-
-
 def write_sidecar(path, cfg: SimConfig, split_sizes: list[tuple[str, int]]) -> None:
     import datetime
 
@@ -561,9 +538,10 @@ def load_dataset(path) -> Dataset:
 
 def write_dataset_streamed(path, n_experiments: int, cfg: SimConfig,
                            split_fractions=(0.75, 0.08, 0.17)) -> list[tuple[str, int]]:
-    """Generate and write one experiment at a time (bounded memory).
-
-    Produces byte-identical output to ``save_dataset(generate_dataset(...))``.
+    """Generate ``experiments(...)`` and write them to ``path`` in the binary
+    dataset format, one experiment at a time (bounded memory), then write
+    the human-readable ``<path>.meta.txt`` sidecar.  Returns each
+    experiment's (split, sample count).
     """
     stream = experiments(n_experiments, cfg, split_fractions)
     split_sizes = []

@@ -14,7 +14,10 @@ four u_*) make one map of h_prev; U_h(r * h) stays its own map.  Each
 fused map is normalized by one RecurrentBatchNorm call whose gamma, beta
 and running statistics are the per-gate norms' own, concatenated.  The
 statistics are per channel, so this equals normalizing each gate on its
-own; the updated statistics go back into each gate's slots.
+own; the updated statistics go back into each gate's slots.  The gates
+are then added and activated as whole channel blocks (sigmoid over z|r,
+or over i|f|o with tanh over g), and a single gate is sliced out only
+where it is consumed.
 
 A state of ``None`` is the zero state, where ``unroll`` starts when given
 no ``h0``.  Its hidden-side maps are known to be zero and are skipped:
@@ -84,30 +87,29 @@ class RecurrentBatchNorm(ops.BatchNorm):
 class _CellBase(ops.Module):
     """Weights, norms and the fused gate maps shared by the four cells.
 
-    The weights are attributes named as in ``gate_names`` (``w_z``,
-    ``u_z``, ...) and the norms are ``bn_`` plus a ``bn_names`` entry, set
-    in that order, which is the registry order.  ``gates`` lists the gates
-    in fused channel order and ``u_gates`` those whose hidden-side map is
-    fused and normalized.  ``kernel`` holds the leading weight axes of one
-    gate map: none for a matrix product.  Steps map the hidden side before
-    the input side; the other order was measured to fragment the
-    allocator's heap and raise the peak RSS of the layers after the cell at
-    batch 64.
+    ``gates`` lists the gates in fused channel order and ``u_gates`` those
+    whose hidden-side map is fused and normalized.  The registry order
+    follows from them: the weights ``w_g, u_g`` for each gate g, then the
+    norms ``bn_w<g>`` for each gate, each followed by ``bn_u<g>`` when g is
+    in ``u_gates``.  ``kernel`` holds the leading weight axes of one gate
+    map: none for a matrix product.  Steps map the hidden side before the
+    input side; the other order was measured to fragment the allocator's
+    heap and raise the peak RSS of the layers after the cell at batch 64.
     """
 
-    gate_names: tuple[str, ...] = ()
-    bn_names: tuple[str, ...] = ()
     gates: tuple[str, ...] = ()
     u_gates: tuple[str, ...] = ()
     kernel: tuple[int, ...] = ()
 
     def __init__(self, in_size: int, hidden: int, init, t_cap: int = T_CAP_DEFAULT):
         self.hidden = hidden
-        for name in self.gate_names:
-            rows = in_size if name[0] == "w" else hidden
-            setattr(self, name, Tensor(init(self.kernel + (rows, hidden)), requires_grad=True))
-        for name in self.bn_names:
-            setattr(self, "bn_" + name, RecurrentBatchNorm(hidden, t_cap=t_cap))
+        for g in self.gates:
+            for side, rows in (("w", in_size), ("u", hidden)):
+                setattr(self, f"{side}_{g}",
+                        Tensor(init(self.kernel + (rows, hidden)), requires_grad=True))
+        for g in self.gates:
+            for side in ("w", "u") if g in self.u_gates else ("w",):
+                setattr(self, f"bn_{side}{g}", RecurrentBatchNorm(hidden, t_cap=t_cap))
 
     def _map(self, x: Tensor, w: Tensor) -> Tensor:
         return T.matmul(x, w)
@@ -132,9 +134,6 @@ class _CellBase(ops.Module):
                 part.running_var[:] = norm.running_var[:, cols]
         return out
 
-    def _gate(self, fused: Tensor, i: int) -> Tensor:
-        return fused[..., i * self.hidden:(i + 1) * self.hidden]
-
 
 class GRUCell(_CellBase):
     """Vector GRU step with recurrent batch normalization.
@@ -143,23 +142,19 @@ class GRUCell(_CellBase):
     h~ = tanh(BN(W_h x) + U_h(r * h)); h_t = (1 - z) h_prev + z h~.
     """
 
-    gate_names = ("w_z", "u_z", "w_r", "u_r", "w_h", "u_h")
-    bn_names = ("wz", "uz", "wr", "ur", "wh")
     gates = ("z", "r", "h")
     u_gates = ("z", "r")
 
-    def initial_state(self, x_t: Tensor) -> Tensor:
-        return Tensor.zeros(x_t.shape[:-1] + (self.hidden,))
-
     def step(self, x_t: Tensor, h_prev: Tensor | None, t: int, training: bool) -> Tensor:
         """One timestep; ``h_prev`` None is the zero state."""
+        n = self.hidden
         uh = self._fused("u", h_prev, t, training, x_t)
         wx = self._fused("w", x_t, t, training, x_t)
-        z = T.sigmoid(self._gate(wx, 0) + self._gate(uh, 0))
+        zr = T.sigmoid(wx[..., :2 * n] + uh)
+        z = zr[..., :n]
         if h_prev is None:
-            return z * T.tanh(self._gate(wx, 2))
-        r = T.sigmoid(self._gate(wx, 1) + self._gate(uh, 1))
-        cand = T.tanh(self._gate(wx, 2) + self._map(r * h_prev, self.u_h))
+            return z * T.tanh(wx[..., 2 * n:])
+        cand = T.tanh(wx[..., 2 * n:] + self._map(zr[..., n:] * h_prev, self.u_h))
         return (1.0 - z) * h_prev + z * cand
 
 
@@ -169,25 +164,18 @@ class LSTMCell(_CellBase):
     c_t = f * c_prev + i * g; h_t = o * tanh(c_t).
     """
 
-    gate_names = ("w_i", "u_i", "w_f", "u_f", "w_o", "u_o", "w_g", "u_g")
-    bn_names = ("wi", "ui", "wf", "uf", "wo", "uo", "wg", "ug")
     gates = u_gates = ("i", "f", "o", "g")
-
-    def initial_state(self, x_t: Tensor):
-        shape = x_t.shape[:-1] + (self.hidden,)
-        return (Tensor.zeros(shape), Tensor.zeros(shape))
 
     def step(self, x_t: Tensor, state, t: int, training: bool):
         """One timestep; ``state`` is (h, c), or None for the zero state."""
         h_prev, c_prev = (None, None) if state is None else state
+        n = self.hidden
         uh = self._fused("u", h_prev, t, training, x_t)
         wx = self._fused("w", x_t, t, training, x_t)
-
-        def pre(gate: int) -> Tensor:
-            return self._gate(wx, gate) + self._gate(uh, gate)
-
-        i, o, g = T.sigmoid(pre(0)), T.sigmoid(pre(2)), T.tanh(pre(3))
-        c_t = i * g if c_prev is None else T.sigmoid(pre(1)) * c_prev + i * g
+        pre = wx + uh
+        ifo = T.sigmoid(pre[..., :3 * n])
+        i, o, g = ifo[..., :n], ifo[..., 2 * n:], T.tanh(pre[..., 3 * n:])
+        c_t = i * g if c_prev is None else ifo[..., n:2 * n] * c_prev + i * g
         return o * T.tanh(c_t), c_t
 
 

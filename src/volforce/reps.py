@@ -123,16 +123,12 @@ class WindowedData:
         self.f = f
         self.frames: list[np.ndarray] = []
         self.labels: list[np.ndarray] = []
-        self.stamps: list[np.ndarray] = []
         self.windows: list[tuple[int, int]] = []  # (experiment index, window end index)
 
-    def add_experiment(self, frames: np.ndarray, forces: np.ndarray,
-                       stamps: np.ndarray | None = None) -> None:
+    def add_experiment(self, frames: np.ndarray, forces: np.ndarray) -> None:
         e = len(self.frames)
         self.frames.append(frames)
         self.labels.append(np.asarray(forces, dtype=np.float64))
-        self.stamps.append(np.asarray(stamps if stamps is not None
-                                      else np.arange(len(forces)), dtype=np.float64))
         n = len(forces)
         for end in range(self.p - 1, n - self.f):
             self.windows.append((e, end))
@@ -168,5 +164,5 @@ def windowed_splits(dataset, representation: str, p: int, f: int,
     for exp in dataset.experiments:
         frames = frames_for(representation, exp.volumes, d_out)
         data = splits.setdefault(exp.meta.split, WindowedData(representation, p, f))
-        data.add_experiment(frames, exp.forces, exp.timestamps)
+        data.add_experiment(frames, exp.forces)
     return splits

@@ -5,6 +5,7 @@ import sys
 import threading
 
 import numpy.testing as npt
+import pytest
 
 from volforce import architectures as A
 from volforce import cli
@@ -87,6 +88,16 @@ class TestTrain:
                        "--rep", "2d-s", "--out", str(tmp_path)])
         assert rc == 1
         assert "representations" in capsys.readouterr().err
+
+    def test_comma_list_rejected(self, tmp_path, capsys):
+        ds = _gen(tmp_path)
+        for flag in ("--history", "--horizon"):
+            rc = cli.main(["train", "--dataset", str(ds), "--arch", "resnet2d-s",
+                           "--rep", "2d-s", flag, "2,4", "--out", str(tmp_path / "run")])
+            assert rc == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and flag in err and len(err.splitlines()) == 1
+        assert not (tmp_path / "run").exists()
 
     def test_missing_dataset_exits_nonzero(self, tmp_path):
         rc = cli.main(["train", "--dataset", str(tmp_path / "nope.oct4d"),
@@ -220,6 +231,14 @@ class TestSweep:
             assert rc == 0
             outs[label] = (tmp_path / label / "sweep.csv").read_text()
         assert outs["serial"] == outs["parallel"]
+
+    def test_jobs_is_a_sweep_flag_only(self, capsys):
+        assert cli._parser().parse_args(["sweep", "--jobs", "2"]).jobs == 2
+        for command in ("gen", "train", "eval"):
+            with pytest.raises(SystemExit) as exc:
+                cli._parser().parse_args([command, "--jobs", "2"])
+            assert exc.value.code == 2
+            assert "unrecognized arguments: --jobs" in capsys.readouterr().err
 
     def test_default_grid_is_twenty_cells(self):
         args = cli._parser().parse_args(["sweep", "--dataset", "x"])

@@ -23,7 +23,7 @@ SEEDED_FLIPS = 120
 
 def _write_dataset(path):
     cfg = P.SimConfig(trajectory=P.TrajectoryConfig(n_samples=3, seed=1), h=4, w=4, d_raw=8)
-    P.save_dataset(P.generate_dataset(3, cfg, (0.4, 0.3, 0.3)), path, sidecar=False)
+    P.write_dataset_streamed(path, 3, cfg, (0.4, 0.3, 0.3))
 
 
 def _dataset_header_end(blob: bytes) -> int:

@@ -157,34 +157,33 @@ class TestGenerate:
 
     def test_generate_is_deterministic(self):
         cfg = _small_cfg(n=10, seed=21)
-        a = P.generate_dataset(3, cfg, (0.4, 0.3, 0.3))
-        b = P.generate_dataset(3, cfg, (0.4, 0.3, 0.3))
-        for ea, eb in zip(a.experiments, b.experiments):
+        a = P.experiments(3, cfg, (0.4, 0.3, 0.3))
+        b = P.experiments(3, cfg, (0.4, 0.3, 0.3))
+        for ea, eb in zip(a, b):
             npt.assert_array_equal(ea.volumes, eb.volumes)
             npt.assert_array_equal(ea.forces, eb.forces)
 
     def test_experiments_differ_across_seeds(self):
-        ds = P.generate_dataset(4, _small_cfg(n=8, seed=2), (0.5, 0.25, 0.25))
-        metas = [e.meta for e in ds.experiments]
+        metas = [e.meta for e in P.experiments(4, _small_cfg(n=8, seed=2), (0.5, 0.25, 0.25))]
         params = {tuple(sorted(m.params.items())) for m in metas}
         assert len(params) == len(metas)
 
     def test_too_few_experiments_rejected(self):
         with pytest.raises(ValueError, match="at least 3"):
-            P.generate_dataset(2, _small_cfg())
+            P.experiments(2, _small_cfg())
 
     def test_sample_bookkeeping(self):
-        ds = P.generate_dataset(4, _small_cfg(n=12), (0.5, 0.25, 0.25))
-        assert ds.n_samples == 4 * 12
-        assert [e.meta.split for e in ds.experiments] == \
+        exps = list(P.experiments(4, _small_cfg(n=12), (0.5, 0.25, 0.25)))
+        assert sum(len(e.forces) for e in exps) == 4 * 12
+        assert [e.meta.split for e in exps] == \
             ["train", "train", "val", "test"]
 
     def test_hard_mode_varies_stiffness(self):
-        ds = P.generate_dataset(4, _small_cfg(n=6, hard=True), (0.5, 0.25, 0.25))
-        stiff = [e.meta.stiffness for e in ds.experiments]
+        hard = P.experiments(4, _small_cfg(n=6, hard=True), (0.5, 0.25, 0.25))
+        stiff = [e.meta.stiffness for e in hard]
         assert len(set(stiff)) == len(stiff)
-        plain = P.generate_dataset(4, _small_cfg(n=6), (0.5, 0.25, 0.25))
-        assert all(e.meta.stiffness == 1.0 for e in plain.experiments)
+        plain = P.experiments(4, _small_cfg(n=6), (0.5, 0.25, 0.25))
+        assert all(e.meta.stiffness == 1.0 for e in plain)
 
     def test_label_volume_consistency_without_viscosity(self):
         # with the viscous term disabled, rendered indentation and force
@@ -193,8 +192,7 @@ class TestGenerate:
             trajectory=P.TrajectoryConfig(n_samples=60, seed=3),
             h=6, w=6, d_raw=64, noise=False,
             force=P.ForceParams(c=0.0))
-        ds = P.generate_dataset(3, cfg, (0.4, 0.3, 0.3))
-        exp = ds.experiments[0]
+        exp = next(P.experiments(3, cfg, (0.4, 0.3, 0.3)))
         excursion = np.array([reps.project_depth(v).values.max() for v in exp.volumes])
         by_exc = {}
         for e, f in zip(excursion, exp.forces):
@@ -207,13 +205,12 @@ class TestGenerate:
 
 class TestFileFormat:
     def test_save_load_round_trip(self, tmp_path):
-        ds = P.generate_dataset(3, _small_cfg(kind="spline", n=7, seed=5),
-                                (0.4, 0.3, 0.3))
+        cfg = _small_cfg(kind="spline", n=7, seed=5)
         path = tmp_path / "ds.oct4d"
-        P.save_dataset(ds, path)
+        P.write_dataset_streamed(path, 3, cfg, (0.4, 0.3, 0.3))
         loaded = P.load_dataset(path)
         assert len(loaded.experiments) == 3
-        for a, b in zip(ds.experiments, loaded.experiments):
+        for a, b in zip(P.experiments(3, cfg, (0.4, 0.3, 0.3)), loaded.experiments):
             npt.assert_array_equal(a.volumes, b.volumes)
             npt.assert_array_equal(a.forces, b.forces)
             npt.assert_array_equal(a.timestamps, b.timestamps)
@@ -249,9 +246,8 @@ class TestFileFormat:
             trajectory=P.TrajectoryConfig(kind="spline"), h=6, w=6, d_raw=32)
 
     def test_corrupted_magic_rejected(self, tmp_path):
-        ds = P.generate_dataset(3, _small_cfg(n=4), (0.4, 0.3, 0.3))
         path = tmp_path / "ds.oct4d"
-        P.save_dataset(ds, path)
+        P.write_dataset_streamed(path, 3, _small_cfg(n=4), (0.4, 0.3, 0.3))
         blob = bytearray(path.read_bytes())
         blob[:4] = b"XXXX"
         path.write_bytes(bytes(blob))
@@ -259,9 +255,8 @@ class TestFileFormat:
             P.load_dataset(path)
 
     def test_truncated_rejected(self, tmp_path):
-        ds = P.generate_dataset(3, _small_cfg(n=4), (0.4, 0.3, 0.3))
         path = tmp_path / "ds.oct4d"
-        P.save_dataset(ds, path)
+        P.write_dataset_streamed(path, 3, _small_cfg(n=4), (0.4, 0.3, 0.3))
         blob = path.read_bytes()
         path.write_bytes(blob[:-100])
         with pytest.raises(ValueError, match="truncated"):
@@ -292,9 +287,8 @@ class TestFileFormat:
         assert os.listdir(tmp_path) == []
 
     def test_version_mismatch_rejected(self, tmp_path):
-        ds = P.generate_dataset(3, _small_cfg(n=4), (0.4, 0.3, 0.3))
         path = tmp_path / "ds.oct4d"
-        P.save_dataset(ds, path)
+        P.write_dataset_streamed(path, 3, _small_cfg(n=4), (0.4, 0.3, 0.3))
         blob = bytearray(path.read_bytes())
         blob[8:12] = struct.pack("<I", 99)
         path.write_bytes(bytes(blob))
@@ -303,28 +297,18 @@ class TestFileFormat:
 
     def test_file_size_arithmetic(self, tmp_path):
         cfg = _small_cfg(n=5)
-        ds = P.generate_dataset(3, cfg, (0.4, 0.3, 0.3))
         path = tmp_path / "ds.oct4d"
-        P.save_dataset(ds, path)
+        P.write_dataset_streamed(path, 3, cfg, (0.4, 0.3, 0.3))
         expected = len(P.MAGIC) + 4 + 4
-        for exp in ds.experiments:
+        for exp in P.experiments(3, cfg, (0.4, 0.3, 0.3)):
             fields = P._meta_fields(exp, cfg)
             expected += 4 + sum(4 + len(f.encode()) for f in fields)
             expected += 4 + len(exp.forces) * (8 + 4 + cfg.h * cfg.w * cfg.d_raw * 4)
         assert path.stat().st_size == expected
 
-    def test_streamed_writer_matches_in_memory_bytes(self, tmp_path):
-        cfg = _small_cfg(kind="spline", n=6, seed=13)
-        a = tmp_path / "a.oct4d"
-        b = tmp_path / "b.oct4d"
-        P.write_dataset_streamed(a, 3, cfg, (0.4, 0.3, 0.3))
-        P.save_dataset(P.generate_dataset(3, cfg, (0.4, 0.3, 0.3)), b)
-        assert a.read_bytes() == b.read_bytes()
-
     def test_sidecar_is_human_readable(self, tmp_path):
-        ds = P.generate_dataset(3, _small_cfg(n=4), (0.4, 0.3, 0.3))
         path = tmp_path / "ds.oct4d"
-        P.save_dataset(ds, path)
+        P.write_dataset_streamed(path, 3, _small_cfg(n=4), (0.4, 0.3, 0.3))
         text = (tmp_path / "ds.oct4d.meta.txt").read_text()
         assert "experiments=3" in text
         assert "samples=12" in text

@@ -35,12 +35,30 @@ def _sig(x):
 
 def _weights(cell):
     """Gate weight arrays by registry name (w_z, u_z, ...)."""
-    return {name: getattr(cell, name).data for name in cell.gate_names}
+    return {name: p.data for name, p in cell.named_params() if "." not in name}
 
 
 def _norms(cell):
     """Gate norms by short name (wz, uz, ...)."""
-    return {name: getattr(cell, "bn_" + name) for name in cell.bn_names}
+    return {name[3:]: bn for name, bn in vars(cell).items()
+            if isinstance(bn, R.RecurrentBatchNorm)}
+
+
+def _copy_params(src, dst):
+    """Copy every parameter of ``src`` into ``dst``'s, reshaped (registry order)."""
+    for (_, a), (_, b) in zip(src.named_params(), dst.named_params()):
+        b.data[:] = a.data.reshape(b.shape)
+
+
+def _graph_nodes(root):
+    """Distinct tensors reachable from ``root`` through parents."""
+    seen, stack = set(), [root]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            stack.extend(node._parents)
+    return len(seen)
 
 
 class TestGRUStep:
@@ -56,7 +74,7 @@ class TestGRUStep:
     def test_zero_parameters_fixed_point(self, rng):
         cell = R.GRUCell(3, 4, _zeros)
         x = Tensor(rng.normal(size=(2, 3)).astype(np.float32))
-        h = cell.step(x, cell.initial_state(x), 0, training=True)
+        h = cell.step(x, Tensor.zeros((2, 4)), 0, training=True)
         npt.assert_array_equal(h.data, np.zeros((2, 4)))
 
     def test_matches_scalar_oracle(self, rng):
@@ -93,7 +111,7 @@ class TestLSTMStep:
     def test_zero_parameters_fixed_point(self, rng):
         cell = R.LSTMCell(3, 4, _zeros)
         x = Tensor(rng.normal(size=(2, 3)).astype(np.float32))
-        h, c = cell.step(x, cell.initial_state(x), 0, training=True)
+        h, c = cell.step(x, (Tensor.zeros((2, 4)), Tensor.zeros((2, 4))), 0, training=True)
         npt.assert_array_equal(h.data, np.zeros((2, 4)))
         npt.assert_array_equal(c.data, np.zeros((2, 4)))
 
@@ -122,9 +140,7 @@ class TestConvCells:
         init = _init(rng)
         vec = R.GRUCell(3, 4, init)
         conv = R.ConvGRUCell(3, 4, 3, init, k=1)
-        for name in vec.gate_names:
-            getattr(conv, name).data[:] = getattr(vec, name).data.reshape(
-                getattr(conv, name).shape)
+        _copy_params(vec, conv)
         x = rng.normal(size=(2, 3)).astype(np.float32)
         hv = vec.step(Tensor(x), Tensor(np.zeros((2, 4), np.float32)), 0, True)
         hc = conv.step(Tensor(x.reshape(2, 1, 1, 1, 3)),
@@ -192,13 +208,11 @@ class TestConvCells:
         init = _init(rng)
         vec = R.LSTMCell(2, 3, init)
         conv = R.ConvLSTMCell(2, 3, 3, init, k=1)
-        for name in vec.gate_names:
-            getattr(conv, name).data[:] = getattr(vec, name).data.reshape(
-                getattr(conv, name).shape)
+        _copy_params(vec, conv)
         x = rng.normal(size=(2, 2)).astype(np.float32)
-        hv, cv = vec.step(Tensor(x), vec.initial_state(Tensor(x)), 0, True)
-        xc = Tensor(x.reshape(2, 1, 1, 1, 2))
-        hc, cc = conv.step(xc, conv.initial_state(xc), 0, True)
+        hv, cv = vec.step(Tensor(x), (Tensor.zeros((2, 3)), Tensor.zeros((2, 3))), 0, True)
+        zc = Tensor.zeros((2, 1, 1, 1, 3))
+        hc, cc = conv.step(Tensor(x.reshape(2, 1, 1, 1, 2)), (zc, zc), 0, True)
         npt.assert_allclose(hc.data.reshape(2, 3), hv.data, atol=1e-6)
         npt.assert_allclose(cc.data.reshape(2, 3), cv.data, atol=1e-6)
 
@@ -267,7 +281,7 @@ class TestUnroll:
         cell = R.GRUCell(3, 4, _init(rng))
         x = Tensor(rng.normal(size=(2, 1, 3)).astype(np.float32))
         via_unroll = R.unroll(cell, x, training=True).data
-        direct = cell.step(x[:, 0], cell.initial_state(x[:, 0]), 0, training=True).data
+        direct = cell.step(x[:, 0], Tensor.zeros((2, 4)), 0, training=True).data
         npt.assert_array_equal(via_unroll, direct)
 
     def test_identity_cell_returns_h0(self, rng):
@@ -457,3 +471,13 @@ class TestFusedGates:
         R.unroll(cell, x, training=True)
         assert len(maps) == 1 + 3 * (p - 1)
         assert len(norms) == 2 * p
+
+    # Graph nodes of one training unroll from the zero state: the fused maps
+    # and norms, then whole-block gate additions and activations with a
+    # single gate sliced out only where it is consumed.
+    @pytest.mark.parametrize("kind,nodes", [("gru", 85), ("lstm", 92),
+                                            ("convgru", 85), ("convlstm", 92)])
+    def test_unroll_graph_node_count(self, rng, kind, nodes):
+        cell = _make_cell(kind, rng)
+        h = R.unroll(cell, Tensor(_input_seq(kind, rng)), training=True)
+        assert _graph_nodes(h) == nodes

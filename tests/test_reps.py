@@ -77,15 +77,15 @@ class TestReprojectPseudo:
 class TestWindow:
     @staticmethod
     def _experiment(n, rng, h=4, w=4, d_raw=16):
-        """Raw volumes, forces 10 * i and timestamps i / 60 of one experiment."""
+        """Raw volumes and forces 10 * i of one experiment."""
         vols = rng.uniform(0.2, 1.0, size=(n, h, w, d_raw)).astype(np.float32)
-        return vols, 10.0 * np.arange(n), np.arange(n) / 60.0
+        return vols, 10.0 * np.arange(n)
 
     @staticmethod
     def _windowed(experiment, representation, p, f, d_out=16):
-        vols, forces, stamps = experiment
+        vols, forces = experiment
         data = reps.WindowedData(representation, p, f)
-        data.add_experiment(reps.frames_for(representation, vols, d_out), forces, stamps)
+        data.add_experiment(reps.frames_for(representation, vols, d_out), forces)
         return data
 
     def test_count_formula(self, rng):
