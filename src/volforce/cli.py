@@ -32,7 +32,7 @@ def _parser() -> argparse.ArgumentParser:
 
     def common(sp):
         sp.add_argument("--config", help="JSON file with defaults for these flags")
-        sp.add_argument("--out", default=".", help="output directory")
+        sp.add_argument("--out", help="output directory (default .)")
         sp.add_argument("--seed", type=int, help="master seed (default 0)")
 
     gen = sub.add_parser("gen", help="generate a synthetic dataset file")
@@ -91,8 +91,8 @@ def _parser() -> argparse.ArgumentParser:
 
 
 _DEFAULTS = {
-    "seed": 0, "jobs": 1, "kind": "sinusoid", "experiments": 12, "samples": 500,
-    "height": 16, "width": 16, "d_raw": 128, "fractions": "0.75,0.08,0.17",
+    "out": ".", "seed": 0, "jobs": 1, "kind": "sinusoid", "experiments": 12,
+    "samples": 500, "height": 16, "width": 16, "d_raw": 128, "fractions": "0.75,0.08,0.17",
     "hard_mode": False, "no_noise": False, "name": None,
     "arch": "convgru-resnet3d", "rep": "4d-st", "history": "6", "horizon": "0",
     "d_out": 16, "base_channels": 16, "n_blocks": 5, "spatial_output_stride": 16,
@@ -105,8 +105,38 @@ _DEFAULTS = {
 _SWEEP_DEFAULTS = {"history": "2,4,6,8", "horizon": "0,1,2,3,4"}
 
 
+def _flags(command: str) -> dict[str, argparse.Action]:
+    """dest -> argparse action, for each flag of ``command``."""
+    commands = next(a for a in _parser()._actions if a.dest == "command").choices
+    return {action.dest: action for action in commands[command]._actions}
+
+
+def _config_value(action: argparse.Action, value):
+    """``value`` from a config file as its flag parses it; ValueError where
+    the flag would reject it."""
+    bad = ValueError(f"invalid config value for {action.option_strings[-1]}: {value!r}")
+    if action.nargs == 0:  # a switch: true or false
+        if not isinstance(value, bool):
+            raise bad
+        return value
+    if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+        raise bad
+    try:
+        parsed = action.type(str(value)) if action.type else str(value)
+    except ValueError:
+        raise bad from None
+    if action.choices is not None and parsed not in action.choices:
+        raise bad
+    return parsed
+
+
 def _settings(args: argparse.Namespace) -> dict:
-    """defaults <- config file <- explicit flags."""
+    """defaults <- config file <- explicit flags.
+
+    A config file holds one JSON object whose keys are flags of the running
+    command (by destination, e.g. ``d_raw``) and whose values each pass
+    that flag's own parsing.
+    """
     merged = dict(_DEFAULTS)
     if args.command == "sweep":
         merged.update(_SWEEP_DEFAULTS)
@@ -114,11 +144,15 @@ def _settings(args: argparse.Namespace) -> dict:
     if config_path:
         with open(config_path, "r", encoding="utf-8") as fh:
             loaded = json.load(fh)
-        unknown = set(loaded) - set(_DEFAULTS) - {"out"}
+        if not isinstance(loaded, dict):
+            raise ValueError(f"config file {config_path} must hold a JSON object, "
+                             f"got {type(loaded).__name__}")
+        unknown = set(loaded) - (set(vars(args)) - {"command", "config"})
         if unknown:
-            raise ValueError(f"unknown keys in config file: {sorted(unknown)}")
-        merged.update(loaded)
-    merged["out"] = getattr(args, "out", ".") or "."
+            raise ValueError(f"unknown keys in config file for {args.command}: "
+                             f"{sorted(unknown)}")
+        flags = _flags(args.command)
+        merged.update((key, _config_value(flags[key], value)) for key, value in loaded.items())
     for key, value in vars(args).items():
         if key in ("command", "config"):
             continue

@@ -26,6 +26,10 @@ convolution.
 convolution sum and is the correctness oracle for every faster path in
 this module.  Its accumulation order is pinned (documented below) so an
 independently written loop implementation can reproduce it bit for bit.
+
+``batch_norm`` is the one normalization primitive.  With ``relu`` it also
+applies the ReLU, so each pre-activation of a ``ResidualBlock`` (BN then
+ReLU) is a single graph node that keeps two arrays the size of its input.
 """
 
 from __future__ import annotations
@@ -449,22 +453,26 @@ class BatchNorm(Module):
         self.running_mean = np.zeros(channels, dtype=np.float64)
         self.running_var = np.ones(channels, dtype=np.float64)
 
-    def __call__(self, x: Tensor, training: bool) -> Tensor:
-        return batch_norm(x, self, training)
+    def __call__(self, x: Tensor, training: bool, relu: bool = False) -> Tensor:
+        return batch_norm(x, self, training, relu=relu)
 
 
-def batch_norm(x: Tensor, state: BatchNorm, training: bool, slot: int = 0) -> Tensor:
+def batch_norm(x: Tensor, state: BatchNorm, training: bool, slot: int = 0,
+               relu: bool = False) -> Tensor:
     """Normalize ``x`` with ``state``: one autodiff primitive over x, gamma, beta.
 
     ``slot`` picks the row of running statistics when they are kept per
-    timestep ([slots, c]); plain [c] statistics have only slot 0.  The
-    forward evaluates the two-pass expression (mean as a sum times 1/n,
-    then the mean of squared deviations); the backward is the closed form
-    and keeps only x_hat and sigma.  When no graph is recorded (inference
-    under ``T.no_grad``) and gamma and beta do not widen x_hat's dtype,
-    x_hat is scaled and shifted in place, so the call allocates one array
-    the size of x instead of two: the same values, bit for bit, and one
-    large temporary fewer at the peak of a batch-64 forward.
+    timestep ([slots, c]); plain [c] statistics have only slot 0.  With
+    ``relu`` the node also applies the ReLU, in place on its output: a
+    residual block's pre-activation is one node.  The forward evaluates
+    the two-pass expression (mean as a sum times 1/n, then the mean of
+    squared deviations, x - mu computed once).  The output is written
+    into a buffer that is spent: in training the squared deviations; with
+    no graph recorded (inference under ``T.no_grad``) x_hat itself, so
+    that call allocates one array the size of x instead of two.  The
+    backward masks its own gradient buffer by ``out > 0`` (with ``relu``),
+    then applies the closed form in place, and keeps only x_hat, sigma and
+    the output.  Every value is the op-by-op expression's, bit for bit.
     """
     if x.shape[-1] != state.channels:
         raise ValueError(f"expected {state.channels} channels, got {x.shape[-1]}")
@@ -474,11 +482,15 @@ def batch_norm(x: Tensor, state: BatchNorm, training: bool, slot: int = 0) -> Te
     # views: updates in place reach the state's arrays
     running_mean = np.atleast_2d(state.running_mean)[slot]
     running_var = np.atleast_2d(state.running_var)[slot]
+    gamma, beta = state.gamma, state.beta
+    spent = None
     if training:
         if x.shape[0] < 2:
             raise ValueError("batch norm in training mode needs batch size >= 2")
         mu = x.data.sum(axis=axes, keepdims=True) * inv_n
-        var = ((x.data - mu) ** 2.0).sum(axis=axes, keepdims=True) * inv_n
+        x_hat = x.data - mu
+        spent = x_hat * x_hat  # (x - mu) ** 2.0, bit for bit
+        var = spent.sum(axis=axes, keepdims=True) * inv_n
         m = state.momentum
         running_mean += m * (mu.reshape(-1) - running_mean)
         running_var += m * (var.reshape(-1) - running_var)
@@ -486,25 +498,31 @@ def batch_norm(x: Tensor, state: BatchNorm, training: bool, slot: int = 0) -> Te
     else:
         mu = np.asarray(running_mean, dt)
         sigma = np.asarray(np.sqrt(running_var + state.eps), dt)
-    # the op-by-op norm's expressions in its order: bit-identical outputs
-    x_hat = x.data - mu
+        x_hat = x.data - mu
+        records = x.requires_grad or gamma.requires_grad or beta.requires_grad
+        if not (T._GRAD_ENABLED and records):
+            spent = x_hat  # no graph keeps x_hat, so it becomes the output
     x_hat /= sigma
-    gamma, beta = state.gamma, state.beta
-    records = T._GRAD_ENABLED and (x.requires_grad or gamma.requires_grad or beta.requires_grad)
-    if records or np.result_type(x_hat, gamma.data, beta.data) != x_hat.dtype:
-        out = x_hat * gamma.data + beta.data
-    else:  # no graph keeps x_hat, so it becomes the output
-        out = x_hat
-        out *= gamma.data
-        out += beta.data
+    if np.result_type(x_hat, gamma.data, beta.data) != x_hat.dtype:
+        spent = None  # gamma and beta widen the dtype: the output is a new array
+    out = np.multiply(x_hat, gamma.data, out=spent)
+    out += beta.data
+    if relu:
+        np.maximum(out, 0, out=out)
 
     def backward_fn(g):
+        # g is this node's own gradient buffer, freed after the call
+        if relu:
+            g *= out > 0
         dbeta = g.sum(axis=axes)
-        dgamma = (g * x_hat).sum(axis=axes)
+        prod = g * x_hat
+        dgamma = prod.sum(axis=axes)
         if x.requires_grad:
             if training:  # dx = gamma/sigma * (g - mean g - x_hat * mean(g x_hat))
-                g = g - dbeta * inv_n - x_hat * (dgamma * inv_n)
-            T._accumulate(x, g * (gamma.data / sigma))
+                g -= dbeta * inv_n
+                g -= np.multiply(x_hat, dgamma * inv_n, out=prod)
+            g *= gamma.data / sigma
+            T._accumulate(x, g)
         if gamma.requires_grad:
             T._accumulate(gamma, dgamma)
         if beta.requires_grad:
@@ -579,6 +597,7 @@ def make_conv(kind: str, cin: int, cout: int, stride: int, init, k: int = 3):
 class ResidualBlock(Module):
     """Pre-activation residual block: (BN -> ReLU -> conv) twice plus shortcut.
 
+    Each BN -> ReLU is one ``batch_norm`` node with the ReLU fused in.
     The first convolution carries the spatial stride and any channel
     change; the shortcut is the identity unless extents or channels
     change, in which case a 1-kernel projection convolution with the
@@ -598,8 +617,8 @@ class ResidualBlock(Module):
             self.shortcut = Conv(projection_kind(kind), cin, cout, stride, init, k=1)
 
     def __call__(self, x: Tensor, training: bool) -> Tensor:
-        h = self.conv1(T.relu(self.bn1(x, training)))
-        h = self.conv2(T.relu(self.bn2(h, training)))
+        h = self.conv1(self.bn1(x, training, relu=True))
+        h = self.conv2(self.bn2(h, training, relu=True))
         s = x if self.shortcut is None else self.shortcut(x)
         return h + s
 

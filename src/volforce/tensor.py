@@ -214,15 +214,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return _make(out_data, (a, b), backward_fn)
 
 
-def relu(a: Tensor) -> Tensor:
-    out_data = np.maximum(a.data, 0)
-
-    def backward_fn(g):
-        _accumulate(a, g * (a.data > 0))
-
-    return _make(out_data, (a,), backward_fn)
-
-
 def sigmoid(a: Tensor) -> Tensor:
     # exp of a non-positive argument only, so no overflow on either branch
     e = np.exp(-np.abs(a.data))

@@ -99,7 +99,6 @@ def primitive_grad_cases(rng: np.random.Generator):
     yield "mul", lambda: T.tsum(a * b), [a, b]
     bcast = rt(1, 4)
     yield "broadcast add", lambda: T.tsum((a + bcast) * b), [a, bcast]
-    yield "relu", lambda: T.tsum(T.relu(a) * b), [a]
     yield "sigmoid", lambda: T.tsum(T.sigmoid(a)), [a]
     yield "tanh", lambda: T.tsum(T.tanh(a)), [a]
     w1, w2 = rt(3, 5), rt(5, 2)
@@ -135,6 +134,9 @@ def primitive_grad_cases(rng: np.random.Generator):
     yield ("batch_norm train", lambda: T.tsum(bn(xb, training=True) * wb),
            [xb, bn.gamma, bn.beta])
     yield ("batch_norm eval", lambda: T.tsum(bn(xb, training=False) * wb),
+           [xb, bn.gamma, bn.beta])
+    yield ("batch_norm train, relu",
+           lambda: T.tsum(ops.batch_norm(xb, bn, training=True, relu=True) * wb),
            [xb, bn.gamma, bn.beta])
     parts = [norm(R.RecurrentBatchNorm, 2, t_cap=3), norm(R.RecurrentBatchNorm, 3, t_cap=3,
                                                           eps=0.05, momentum=0.3)]

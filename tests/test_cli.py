@@ -266,3 +266,51 @@ class TestConfigPrecedence:
         cfg_path.write_text(json.dumps({"not_a_flag": 1}))
         rc = cli.main(["gen", "--config", str(cfg_path), "--out", str(tmp_path)])
         assert rc == 1
+
+
+class TestConfigValidation:
+    @staticmethod
+    def _run(tmp_path, capsys, command, config):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        rc = cli.main([command, "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        return rc, err
+
+    @pytest.mark.parametrize("command, config", [
+        ("gen", {"jobs": 4}), ("gen", {"epochs": 4}), ("train", {"kind": "spline"}),
+        ("eval", {"command": "gen"}), ("gen", {"config": "other.json"}),
+    ])
+    def test_key_that_is_not_a_flag_of_the_command_rejected(self, tmp_path, capsys,
+                                                            command, config):
+        rc, err = self._run(tmp_path, capsys, command, config)
+        assert rc == 1
+        assert err.startswith("error: unknown keys") and err.count("\n") == 1
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("config", [5, [1, 2], "samples", None])
+    def test_config_that_is_not_an_object_rejected(self, tmp_path, capsys, config):
+        rc, err = self._run(tmp_path, capsys, "gen", config)
+        assert rc == 1
+        assert err.startswith("error: ") and "JSON object" in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("config", [
+        {"samples": "abc"}, {"samples": 4.5}, {"samples": True}, {"samples": None},
+        {"kind": "wave"}, {"hard_mode": 1}, {"fractions": [0.5, 0.25, 0.25]},
+    ])
+    def test_value_the_flag_rejects_is_rejected(self, tmp_path, capsys, config):
+        rc, err = self._run(tmp_path, capsys, "gen", config)
+        assert rc == 1
+        assert err.startswith("error: invalid config value for --") and err.count("\n") == 1
+
+    def test_values_parse_as_their_flags(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"samples": "12", "hard_mode": True,
+                                        "out": "elsewhere"}))
+        gen = cli._settings(cli._parser().parse_args(["gen", "--config", str(cfg_path)]))
+        assert gen["samples"] == 12 and gen["hard_mode"] is True
+        assert gen["out"] == "elsewhere"
+        cfg_path.write_text(json.dumps({"lr": 1, "history": 4}))
+        train = cli._settings(cli._parser().parse_args(["train", "--config", str(cfg_path)]))
+        assert train["lr"] == 1.0 and isinstance(train["lr"], float)
+        assert train["history"] == "4"

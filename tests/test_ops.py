@@ -1,3 +1,4 @@
+import contextlib
 import tracemalloc
 
 import numpy as np
@@ -17,6 +18,25 @@ def _rand_init(rng, scale=0.3):
         return (rng.normal(size=shape) * scale).astype(T.default_dtype())
 
     return init
+
+
+def _held_arrays(nodes, skip: np.ndarray) -> list[np.ndarray]:
+    """The arrays a graph keeps alive beyond ``skip`` (its input): the nodes'
+    outputs plus the arrays captured by their backward closures."""
+    held = {}
+    for node in nodes:
+        held[id(node.data)] = node.data
+        for cell in node._backward.__closure__ or ():
+            if isinstance(cell.cell_contents, np.ndarray):
+                held[id(cell.cell_contents)] = cell.cell_contents
+    held.pop(id(skip), None)
+    return list(held.values())
+
+
+def _created_nodes(out: Tensor, leaves) -> list[Tensor]:
+    """The graph nodes behind ``out``, leaves excluded."""
+    ids = {id(leaf) for leaf in leaves}
+    return [node for node in T._toposort(out) if id(node) not in ids]
 
 
 def _head(W: np.ndarray, bias: float) -> A._Head:
@@ -432,24 +452,49 @@ class TestBatchNorm:
         # x_hat becomes the output: one array the size of x, not two
         assert peak < 1.5 * x.data.nbytes
 
-    def test_training_call_is_one_graph_node_holding_twice_its_input(self, rng):
+    @pytest.mark.parametrize("relu", [False, True])
+    def test_training_call_is_one_graph_node_holding_twice_its_input(self, rng, relu):
         bn = ops.BatchNorm(4)
         x = Tensor(rng.normal(size=(8, 6, 4)).astype(np.float32), requires_grad=True)
-        out = bn(x, training=True)
-        leaves = {id(x), id(bn.gamma), id(bn.beta)}
-        created = [node for node in T._toposort(out) if id(node) not in leaves]
+        out = bn(x, training=True, relu=relu)
+        created = _created_nodes(out, (x, bn.gamma, bn.beta))
         assert created == [out]
-        # input-sized arrays the graph keeps alive beyond the input: node
-        # outputs plus arrays captured by backward closures
-        held = {}
-        for node in created:
-            held[id(node.data)] = node.data
-            for cell in node._backward.__closure__ or ():
-                if isinstance(cell.cell_contents, np.ndarray):
-                    held[id(cell.cell_contents)] = cell.cell_contents
-        held.pop(id(x.data), None)
-        assert sum(a.nbytes for a in held.values() if a.size > bn.channels) \
-            <= 2 * x.data.nbytes
+        held = _held_arrays(created, x.data)
+        assert sum(a.nbytes for a in held if a.size > bn.channels) <= 2 * x.data.nbytes
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("mode", ["train", "eval", "no_grad"])
+    def test_relu_is_the_max_of_the_plain_norm_and_masks_its_gradient(self, rng, dtype, mode):
+        # bit for bit: out = max(plain, 0), and the gradients are the plain
+        # node's fed g * (out > 0)
+        with T.use_dtype(dtype):
+            gamma, beta, mean = rng.normal(size=(3, 3))
+            var = rng.uniform(0.5, 2.0, size=3)
+            plain_bn, fused_bn = ops.BatchNorm(3, momentum=0.3), ops.BatchNorm(3, momentum=0.3)
+            for bn in (plain_bn, fused_bn):
+                bn.gamma.data[:], bn.beta.data[:] = gamma, beta
+                bn.running_mean[:], bn.running_var[:] = mean, var
+            x = (rng.normal(size=(4, 5, 3)) * 2.0 + 0.5).astype(dtype)
+            x_plain, x_fused = Tensor(x, requires_grad=True), Tensor(x, requires_grad=True)
+            training = mode == "train"
+            with T.no_grad() if mode == "no_grad" else contextlib.nullcontext():
+                plain = plain_bn(x_plain, training)
+                fused = fused_bn(x_fused, training, relu=True)
+            assert fused.data.dtype == dtype
+            assert (plain.data < 0).any() and (plain.data > 0).any()
+            npt.assert_array_equal(fused.data, np.maximum(plain.data, 0))
+            npt.assert_array_equal(fused_bn.running_mean, plain_bn.running_mean)
+            npt.assert_array_equal(fused_bn.running_var, plain_bn.running_var)
+            if mode == "no_grad":
+                assert not fused.requires_grad
+                return
+            g = rng.normal(size=x.shape).astype(dtype)
+            T.backward(T.tsum(fused * Tensor(g)))
+            T.backward(T.tsum(plain * Tensor(g * (fused.data > 0))))
+            for a, b in ((x_fused, x_plain), (fused_bn.gamma, plain_bn.gamma),
+                         (fused_bn.beta, plain_bn.beta)):
+                assert a.grad.dtype == dtype
+                npt.assert_array_equal(a.grad, b.grad)
 
     def test_running_stats_used_in_inference(self, rng):
         bn = ops.BatchNorm(2, momentum=1.0)
@@ -491,6 +536,18 @@ class TestResidualBlock:
         x = Tensor(rng.normal(size=(2, 3, 6, 6, 6, 8)).astype(np.float32))
         out = block(x, training=True)
         assert out.shape == (2, 3, 3, 3, 3, 16)
+
+    def test_no_shortcut_block_holds_seven_input_sized_arrays_in_five_nodes(self, rng):
+        # two fused pre-activations (x_hat and output each), two
+        # convolutions and the sum
+        block = ops.ResidualBlock("conv3d", 4, 4, 1, _rand_init(rng))
+        assert block.shortcut is None
+        x = Tensor(rng.normal(size=(2, 4, 4, 4, 4)).astype(np.float32), requires_grad=True)
+        out = block(x, training=True)
+        created = _created_nodes(out, [x] + [p for _, p in block.named_params()])
+        held = [a for a in _held_arrays(created, x.data) if a.size == x.data.size]
+        assert len(created) <= 5
+        assert len(held) <= 7
 
     def test_gradient_through_two_block_stack(self, rng):
         with T.use_dtype(np.float64):
