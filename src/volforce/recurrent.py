@@ -11,13 +11,15 @@ Each step applies the gate maps fused.  The input-side weights of all
 gates, concatenated along output channels (w_z|w_r|w_h, or w_i|w_f|w_o|w_g),
 make one map of x_t; the normalized hidden-side weights (u_z|u_r, or all
 four u_*) make one map of h_prev; U_h(r * h) stays its own map.  Each
-fused map is normalized by one RecurrentBatchNorm call whose gamma, beta
-and running statistics are the per-gate norms' own, concatenated.  The
-statistics are per channel, so this equals normalizing each gate on its
-own; the updated statistics go back into each gate's slots.  The gates
-are then added and activated as whole channel blocks (sigmoid over z|r,
-or over i|f|o with tanh over g), and a single gate is sliced out only
-where it is consumed.
+fused map is normalized by one RecurrentBatchNorm call whose gamma and
+beta are the per-gate norms' own, concatenated, and whose running
+statistics are one array per side, of which each gate norm's are column
+views.  The statistics are per channel, so this equals normalizing each
+gate on its own.  ``unroll`` joins each side's weights and norm once
+(``_CellBase.join``) and hands them to every step.  The gates are then
+added and activated as whole channel blocks (sigmoid over z|r, or over
+i|f|o with tanh over g), and a single gate is sliced out only where it
+is consumed.
 
 A state of ``None`` is the zero state, where ``unroll`` starts when given
 no ``h0``.  Its hidden-side maps are known to be zero and are skipped:
@@ -59,25 +61,6 @@ class RecurrentBatchNorm(ops.BatchNorm):
         self.running_mean = np.zeros((t_cap + 1, channels), dtype=np.float64)
         self.running_var = np.ones((t_cap + 1, channels), dtype=np.float64)
 
-    @classmethod
-    def joined(cls, parts: list[RecurrentBatchNorm]) -> RecurrentBatchNorm:
-        """One norm over the parts' channels, concatenated in order.
-
-        gamma and beta are joined in the graph, so gradients reach the
-        parts; momentum, eps and running statistics are per-channel
-        copies, which the caller writes back after a training call.
-        """
-        norm = cls.__new__(cls)
-        norm.channels = sum(p.channels for p in parts)
-        norm.t_cap = parts[0].t_cap
-        norm.momentum = np.concatenate([np.full(p.channels, p.momentum) for p in parts])
-        norm.eps = np.concatenate([np.full(p.channels, p.eps) for p in parts])
-        norm.gamma = T.concat([p.gamma for p in parts])
-        norm.beta = T.concat([p.beta for p in parts])
-        norm.running_mean = np.concatenate([p.running_mean for p in parts], axis=1)
-        norm.running_var = np.concatenate([p.running_var for p in parts], axis=1)
-        return norm
-
     def __call__(self, x: Tensor, t: int, training: bool) -> Tensor:
         if t < 0:
             raise ValueError(f"timestep must be >= 0, got {t}")
@@ -107,32 +90,49 @@ class _CellBase(ops.Module):
             for side, rows in (("w", in_size), ("u", hidden)):
                 setattr(self, f"{side}_{g}",
                         Tensor(init(self.kernel + (rows, hidden)), requires_grad=True))
+        # (running mean, running var) per side; a dict, so not a registry buffer
+        self.stats = {side: (np.zeros((t_cap + 1, len(gates) * hidden)),
+                             np.ones((t_cap + 1, len(gates) * hidden)))
+                      for side, gates in (("w", self.gates), ("u", self.u_gates))}
         for g in self.gates:
             for side in ("w", "u") if g in self.u_gates else ("w",):
-                setattr(self, f"bn_{side}{g}", RecurrentBatchNorm(hidden, t_cap=t_cap))
+                norm = RecurrentBatchNorm(hidden, t_cap=t_cap)
+                i = (self.gates if side == "w" else self.u_gates).index(g)
+                norm.running_mean, norm.running_var = (
+                    s[:, i * hidden:(i + 1) * hidden] for s in self.stats[side])
+                setattr(self, f"bn_{side}{g}", norm)
 
     def _map(self, x: Tensor, w: Tensor) -> Tensor:
         return T.matmul(x, w)
 
-    def _fused(self, side: str, x: Tensor | None, t: int, training: bool,
+    def join(self) -> dict[str, tuple[Tensor, RecurrentBatchNorm]]:
+        """Per side, (gate weights, norm) over the gates' channels in order:
+        weights, gamma and beta joined in the graph, momentum and eps read
+        from the gate norms now, running statistics the side's arrays."""
+        joined = {}
+        for side, (mean, var) in self.stats.items():
+            gates = self.gates if side == "w" else self.u_gates
+            parts = [getattr(self, f"bn_{side}{g}") for g in gates]
+            norm = RecurrentBatchNorm(
+                mean.shape[1], mean.shape[0] - 1,
+                momentum=np.concatenate([np.full(self.hidden, p.momentum) for p in parts]),
+                eps=np.concatenate([np.full(self.hidden, p.eps) for p in parts]))
+            norm.gamma = T.concat([p.gamma for p in parts])
+            norm.beta = T.concat([p.beta for p in parts])
+            norm.running_mean, norm.running_var = mean, var
+            joined[side] = (T.concat([getattr(self, f"{side}_{g}") for g in gates], -1), norm)
+        return joined
+
+    def _fused(self, joined, side: str, x: Tensor | None, t: int, training: bool,
                like: Tensor) -> Tensor:
         """Normalized pre-activations of one side's gates, concatenated along
         channels; ``x`` None is the zero state (no map, see the module doc)."""
-        gates = self.gates if side == "w" else self.u_gates
+        weights, norm = joined[side]
         if x is None:
-            pre = Tensor.zeros(like.shape[:1] + (1,) * (like.ndim - 2)
-                               + (len(gates) * self.hidden,))
+            pre = Tensor.zeros(like.shape[:1] + (1,) * (like.ndim - 2) + (norm.channels,))
         else:
-            pre = self._map(x, T.concat([getattr(self, f"{side}_{g}") for g in gates], -1))
-        parts = [getattr(self, f"bn_{side}{g}") for g in gates]
-        norm = RecurrentBatchNorm.joined(parts)
-        out = norm(pre, t, training)
-        if training:
-            for i, part in enumerate(parts):
-                cols = slice(i * self.hidden, (i + 1) * self.hidden)
-                part.running_mean[:] = norm.running_mean[:, cols]
-                part.running_var[:] = norm.running_var[:, cols]
-        return out
+            pre = self._map(x, weights)
+        return norm(pre, t, training)
 
 
 class GRUCell(_CellBase):
@@ -145,11 +145,13 @@ class GRUCell(_CellBase):
     gates = ("z", "r", "h")
     u_gates = ("z", "r")
 
-    def step(self, x_t: Tensor, h_prev: Tensor | None, t: int, training: bool) -> Tensor:
-        """One timestep; ``h_prev`` None is the zero state."""
+    def step(self, x_t: Tensor, h_prev: Tensor | None, t: int, training: bool,
+             joined) -> Tensor:
+        """One timestep with ``joined`` from ``join``; ``h_prev`` None is the
+        zero state."""
         n = self.hidden
-        uh = self._fused("u", h_prev, t, training, x_t)
-        wx = self._fused("w", x_t, t, training, x_t)
+        uh = self._fused(joined, "u", h_prev, t, training, x_t)
+        wx = self._fused(joined, "w", x_t, t, training, x_t)
         zr = T.sigmoid(wx[..., :2 * n] + uh)
         z = zr[..., :n]
         if h_prev is None:
@@ -166,12 +168,13 @@ class LSTMCell(_CellBase):
 
     gates = u_gates = ("i", "f", "o", "g")
 
-    def step(self, x_t: Tensor, state, t: int, training: bool):
-        """One timestep; ``state`` is (h, c), or None for the zero state."""
+    def step(self, x_t: Tensor, state, t: int, training: bool, joined):
+        """One timestep with ``joined`` from ``join``; ``state`` is (h, c), or
+        None for the zero state."""
         h_prev, c_prev = (None, None) if state is None else state
         n = self.hidden
-        uh = self._fused("u", h_prev, t, training, x_t)
-        wx = self._fused("w", x_t, t, training, x_t)
+        uh = self._fused(joined, "u", h_prev, t, training, x_t)
+        wx = self._fused(joined, "w", x_t, t, training, x_t)
         pre = wx + uh
         ifo = T.sigmoid(pre[..., :3 * n])
         i, o, g = ifo[..., :n], ifo[..., 2 * n:], T.tanh(pre[..., 3 * n:])
@@ -184,13 +187,10 @@ class _ConvMaps:
 
     def __init__(self, in_channels: int, hidden: int, n_spatial: int, init,
                  k: int = 3, t_cap: int = T_CAP_DEFAULT):
-        self.n_spatial = n_spatial
         self.kernel = (k,) * n_spatial
         super().__init__(in_channels, hidden, init, t_cap)
 
     def _map(self, x: Tensor, w: Tensor) -> Tensor:
-        if x.ndim != self.n_spatial + 2:
-            raise ValueError(f"expected {self.n_spatial} spatial axes, got input {x.shape}")
         return ops.conv_spatial(x, w, stride=1)
 
 
@@ -215,9 +215,10 @@ def unroll(cell, x_seq: Tensor, h0=None, return_sequence: bool = False,
     if p < 1:
         raise ValueError("sequence length must be >= 1")
     state = h0
+    joined = cell.join()
     outputs = []
     for t in range(p):
-        state = cell.step(x_seq[:, t], state, t, training)
+        state = cell.step(x_seq[:, t], state, t, training, joined)
         if return_sequence:
             outputs.append(state[0] if isinstance(state, tuple) else state)
     if return_sequence:

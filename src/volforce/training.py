@@ -6,11 +6,11 @@ exponential moving average of every trainable parameter (decay 0.999,
 shadow initialized to the initial parameter values) is maintained each
 step and swapped in for evaluation.
 
-Targets are standardized by the train-split mean/std by default
-(``normalize_labels``); the de-standardization pair is stored on the
-network (``label_norm``) and applied by ``predict``, so reported errors
-are always in mN.  Loss histories are in normalized units when
-normalization is on.
+Targets are standardized by the train-split mean/std; the
+de-standardization pair is stored on the network (``label_norm``) and
+applied by ``predict``, so reported errors are always in mN.  Loss
+histories are in standardized units.  Validation runs ``predict`` with
+its default batch size.
 """
 
 from __future__ import annotations
@@ -55,8 +55,6 @@ class TrainConfig:
     init_std: float = 0.01
     seed: int = 0
     ema_decay: float = 0.999
-    normalize_labels: bool = True
-    eval_batch_size: int = 64
     shuffle: bool = True  # per-epoch reshuffle of window indices
 
     def __post_init__(self):
@@ -187,12 +185,10 @@ def train(net, train_data, cfg: TrainConfig, val_data=None, on_epoch=None,
     named = list(net.named_params())
     adam = Adam(named, cfg.learning_rate)
     ema = Ema(named, cfg.ema_decay)
-    if cfg.normalize_labels:
-        labels = train_data.all_labels()
-        mu = float(labels.mean())
-        sd = float(labels.std())
-        net.label_norm[:] = (mu, sd if sd > 0 else 1.0)
-    mu, sd = float(net.label_norm[0]), float(net.label_norm[1])
+    labels = train_data.all_labels()
+    mu, sd = float(labels.mean()), float(labels.std())
+    sd = sd if sd > 0 else 1.0
+    net.label_norm[:] = (mu, sd)
     result = TrainResult(ema=ema)
     n = len(train_data)
     for epoch in range(1, cfg.epochs + 1):
@@ -220,7 +216,7 @@ def train(net, train_data, cfg: TrainConfig, val_data=None, on_epoch=None,
             seen += len(idx)
         row = {"epoch": epoch, "train_mse": total / seen, "val_mse": float("nan")}
         if val_data is not None and len(val_data) > 0:
-            vp, vt = predict(net, val_data, ema, cfg.eval_batch_size)
+            vp, vt = predict(net, val_data, ema)
             row["val_mse"] = float(np.mean(((vp - mu) / sd - (vt - mu) / sd) ** 2))
         result.history.append(row)
         if on_epoch is not None:

@@ -119,18 +119,17 @@ def primitive_grad_cases(rng: np.random.Generator):
     k4 = rt(3, 3, 3, 3, 1, 2, scale=0.4)
     yield "conv4d", lambda: T.tsum(square(ops.conv_st(x4, k4, 2))), [x4, k4]
 
-    def norm(norm_type, channels, **kw):
-        """A norm with random gamma, beta and (positive-variance) running stats."""
-        bn = norm_type(channels, **kw)
-        bn.gamma.data[:] = rng.normal(size=channels)
-        bn.beta.data[:] = rng.normal(size=channels)
+    def randomized(bn):
+        """``bn`` with random gamma, beta and (positive-variance) running stats."""
+        bn.gamma.data[:] = rng.normal(size=bn.channels)
+        bn.beta.data[:] = rng.normal(size=bn.channels)
         bn.running_mean[:] = rng.normal(size=bn.running_mean.shape)
         bn.running_var[:] = rng.uniform(0.5, 2.0, size=bn.running_var.shape)
         return bn
 
     # the loss is weighted: a plain sum of a training-mode norm has dx = 0
     xb, wb = rt(4, 3, 2, scale=2.0), rng.normal(size=(4, 3, 2))
-    bn = norm(ops.BatchNorm, 2)
+    bn = randomized(ops.BatchNorm(2))
     yield ("batch_norm train", lambda: T.tsum(bn(xb, training=True) * wb),
            [xb, bn.gamma, bn.beta])
     yield ("batch_norm eval", lambda: T.tsum(bn(xb, training=False) * wb),
@@ -138,12 +137,15 @@ def primitive_grad_cases(rng: np.random.Generator):
     yield ("batch_norm train, relu",
            lambda: T.tsum(ops.batch_norm(xb, bn, training=True, relu=True) * wb),
            [xb, bn.gamma, bn.beta])
-    parts = [norm(R.RecurrentBatchNorm, 2, t_cap=3), norm(R.RecurrentBatchNorm, 3, t_cap=3,
-                                                          eps=0.05, momentum=0.3)]
-    xr, wr = rt(4, 5), rng.normal(size=(4, 5))
+    # a GRU's input-side norm over its three gates, one with its own eps and
+    # momentum; joined inside the loss, so perturbed gammas and betas reach it
+    cell = R.GRUCell(2, 2, np.zeros, t_cap=3)
+    gate_norms = [randomized(getattr(cell, f"bn_w{g}")) for g in cell.gates]
+    cell.bn_wr.eps, cell.bn_wr.momentum = 0.05, 0.3
+    xr, wr = rt(4, 6), rng.normal(size=(4, 6))
     yield ("recurrent norm, joined, slot > 0",
-           lambda: T.tsum(R.RecurrentBatchNorm.joined(parts)(xr, 2, False) * wr),
-           [xr] + [t for part in parts for t in (part.gamma, part.beta)])
+           lambda: T.tsum(cell.join()["w"][1](xr, 2, False) * wr),
+           [xr] + [t for part in gate_norms for t in (part.gamma, part.beta)])
 
 
 def check_all_primitive_grads(instances: int = 100, seed: int = 0,

@@ -193,9 +193,9 @@ def test_criterion_4_degenerate_reductions():
         pc.data[:] = pv.data.reshape(pc.shape)
     x = rng.normal(size=(2, 3)).astype(np.float32)
     hp = rng.normal(size=(2, 4)).astype(np.float32)
-    hv = vec.step(Tensor(x), Tensor(hp), 0, training=True)
+    hv = vec.step(Tensor(x), Tensor(hp), 0, training=True, joined=vec.join())
     hc = conv.step(Tensor(x.reshape(2, 1, 1, 1, 3)),
-                   Tensor(hp.reshape(2, 1, 1, 1, 4)), 0, training=True)
+                   Tensor(hp.reshape(2, 1, 1, 1, 4)), 0, training=True, joined=conv.join())
     gap_cell = float(np.abs(hv.data - hc.data.reshape(2, 4)).max())
     assert gap_cell <= 1e-6
 
@@ -211,7 +211,7 @@ def test_criterion_4_degenerate_reductions():
     cell = R.GRUCell(3, 4, init)
     seq = Tensor(rng.normal(size=(2, 1, 3)).astype(np.float32))
     h_unroll = R.unroll(cell, seq, training=True).data
-    h_step = cell.step(seq[:, 0], Tensor.zeros((2, 4)), 0, True).data
+    h_step = cell.step(seq[:, 0], Tensor.zeros((2, 4)), 0, True, joined=cell.join()).data
     npt.assert_array_equal(h_unroll, h_step)
     _ok(4, f"cell reduction gap {gap_cell:.1e}; kt=1 and p=1 reductions exact")
 

@@ -325,6 +325,23 @@ class TestCheckpoint:
             npt.assert_array_equal(ema[name], ema2[name])
         npt.assert_array_equal(loaded.label_norm, [120.0, 40.0])
 
+    @pytest.mark.parametrize("arch", ["convgru-resnet3d", "convlstm-resnet2d", "resnet3d-lstm"])
+    def test_loaded_recurrent_network_evaluates_bitwise(self, tmp_path, rng, arch):
+        # the cells' gate statistics are views of one array per side; the
+        # load must write through them
+        rep = A.ARCH_TABLE[arch][2][0]
+        net = A.build(A.config_from_arch(arch, rep, history=2, base_channels=4, n_blocks=2,
+                                         spatial_output_stride=2), seed=0)
+        x = _batch_for(net.config, rng)
+        net.forward(x, training=True)
+        for _, buf in net.named_buffers():
+            buf[...] = buf.astype(np.float32)  # as the file stores them
+        path = tmp_path / "model.ckpt"
+        A.save_checkpoint(path, net, None)
+        loaded, _ = A.load_checkpoint(path)
+        npt.assert_array_equal(loaded.forward(x, training=False).data,
+                               net.forward(x, training=False).data)
+
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.ckpt"
         path.write_bytes(b"NOTACKPT" + b"\x00" * 64)

@@ -68,13 +68,13 @@ class TestGRUStep:
         cell.bn_uz.beta.data[:] = -40.0
         x = Tensor(rng.normal(size=(2, 3)).astype(np.float32))
         h_prev = Tensor(rng.normal(size=(2, 4)).astype(np.float32))
-        h = cell.step(x, h_prev, 0, training=True)
+        h = cell.step(x, h_prev, 0, training=True, joined=cell.join())
         npt.assert_allclose(h.data, h_prev.data, atol=1e-6)
 
     def test_zero_parameters_fixed_point(self, rng):
         cell = R.GRUCell(3, 4, _zeros)
         x = Tensor(rng.normal(size=(2, 3)).astype(np.float32))
-        h = cell.step(x, Tensor.zeros((2, 4)), 0, training=True)
+        h = cell.step(x, Tensor.zeros((2, 4)), 0, training=True, joined=cell.join())
         npt.assert_array_equal(h.data, np.zeros((2, 4)))
 
     def test_matches_scalar_oracle(self, rng):
@@ -82,7 +82,7 @@ class TestGRUStep:
             cell = R.GRUCell(3, 4, _init(rng))
             x = rng.normal(size=(2, 3))
             hp = rng.normal(size=(2, 4))
-            got = cell.step(Tensor(x), Tensor(hp), 0, training=True).data
+            got = cell.step(Tensor(x), Tensor(hp), 0, training=True, joined=cell.join()).data
 
             w = _weights(cell)
             z = _sig(_bn_train_oracle(x @ w["w_z"], cell.bn_wz)
@@ -105,13 +105,14 @@ class TestLSTMStep:
         x = Tensor(rng.normal(size=(2, 3)).astype(np.float32))
         hp = Tensor(rng.normal(size=(2, 4)).astype(np.float32))
         cp = Tensor(rng.normal(size=(2, 4)).astype(np.float32))
-        _, c = cell.step(x, (hp, cp), 0, training=True)
+        _, c = cell.step(x, (hp, cp), 0, training=True, joined=cell.join())
         npt.assert_allclose(c.data, cp.data, atol=1e-6)
 
     def test_zero_parameters_fixed_point(self, rng):
         cell = R.LSTMCell(3, 4, _zeros)
         x = Tensor(rng.normal(size=(2, 3)).astype(np.float32))
-        h, c = cell.step(x, (Tensor.zeros((2, 4)), Tensor.zeros((2, 4))), 0, training=True)
+        h, c = cell.step(x, (Tensor.zeros((2, 4)), Tensor.zeros((2, 4))), 0, training=True,
+                         joined=cell.join())
         npt.assert_array_equal(h.data, np.zeros((2, 4)))
         npt.assert_array_equal(c.data, np.zeros((2, 4)))
 
@@ -121,7 +122,8 @@ class TestLSTMStep:
             x = rng.normal(size=(2, 3))
             hp = rng.normal(size=(2, 4))
             cp = rng.normal(size=(2, 4))
-            h, c = cell.step(Tensor(x), (Tensor(hp), Tensor(cp)), 0, training=True)
+            h, c = cell.step(Tensor(x), (Tensor(hp), Tensor(cp)), 0, training=True,
+                             joined=cell.join())
 
             w = _weights(cell)
 
@@ -142,10 +144,12 @@ class TestConvCells:
         conv = R.ConvGRUCell(3, 4, 3, init, k=1)
         _copy_params(vec, conv)
         x = rng.normal(size=(2, 3)).astype(np.float32)
-        hv = vec.step(Tensor(x), Tensor(np.zeros((2, 4), np.float32)), 0, True)
+        hv = vec.step(Tensor(x), Tensor(np.zeros((2, 4), np.float32)), 0, True, joined=vec.join())
         hc = conv.step(Tensor(x.reshape(2, 1, 1, 1, 3)),
-                       Tensor(np.zeros((2, 1, 1, 1, 4), np.float32)), 0, True)
+                       Tensor(np.zeros((2, 1, 1, 1, 4), np.float32)), 0, True, joined=conv.join())
         npt.assert_allclose(hc.data.reshape(2, 4), hv.data, atol=1e-6)
+        with pytest.raises(ValueError, match="rank"):  # a vector input has no spatial axes
+            R.unroll(conv, Tensor(x[:, None]))
 
     def test_closed_update_gate_keeps_state_elementwise(self, rng):
         cell = R.ConvGRUCell(2, 3, 3, _init(rng))
@@ -153,7 +157,7 @@ class TestConvCells:
         cell.bn_uz.beta.data[:] = -40.0
         x = Tensor(rng.normal(size=(2, 4, 4, 4, 2)).astype(np.float32))
         hp = Tensor(rng.normal(size=(2, 4, 4, 4, 3)).astype(np.float32))
-        h = cell.step(x, hp, 0, training=True)
+        h = cell.step(x, hp, 0, training=True, joined=cell.join())
         npt.assert_allclose(h.data, hp.data, atol=1e-6)
 
     def test_conv_gru_matches_reference_conv_plus_gate_oracle(self, rng):
@@ -163,7 +167,7 @@ class TestConvCells:
             cell = R.ConvGRUCell(2, 3, 3, _init(rng))
             x = rng.normal(size=(1, 4, 4, 4, 2))
             hp = rng.normal(size=(1, 4, 4, 4, 3))
-            got = cell.step(Tensor(x), Tensor(hp), 0, training=False).data
+            got = cell.step(Tensor(x), Tensor(hp), 0, training=False, joined=cell.join()).data
 
             w = _weights(cell)
 
@@ -186,7 +190,8 @@ class TestConvCells:
             x = rng.normal(size=(1, 5, 5, 2))
             hp = rng.normal(size=(1, 5, 5, 3))
             cp = rng.normal(size=(1, 5, 5, 3))
-            h, c = cell.step(Tensor(x), (Tensor(hp), Tensor(cp)), 0, training=False)
+            h, c = cell.step(Tensor(x), (Tensor(hp), Tensor(cp)), 0, training=False,
+                             joined=cell.join())
 
             w = _weights(cell)
 
@@ -210,11 +215,14 @@ class TestConvCells:
         conv = R.ConvLSTMCell(2, 3, 3, init, k=1)
         _copy_params(vec, conv)
         x = rng.normal(size=(2, 2)).astype(np.float32)
-        hv, cv = vec.step(Tensor(x), (Tensor.zeros((2, 3)), Tensor.zeros((2, 3))), 0, True)
+        hv, cv = vec.step(Tensor(x), (Tensor.zeros((2, 3)), Tensor.zeros((2, 3))), 0, True,
+                          joined=vec.join())
         zc = Tensor.zeros((2, 1, 1, 1, 3))
-        hc, cc = conv.step(Tensor(x.reshape(2, 1, 1, 1, 2)), (zc, zc), 0, True)
+        hc, cc = conv.step(Tensor(x.reshape(2, 1, 1, 1, 2)), (zc, zc), 0, True, joined=conv.join())
         npt.assert_allclose(hc.data.reshape(2, 3), hv.data, atol=1e-6)
         npt.assert_allclose(cc.data.reshape(2, 3), cv.data, atol=1e-6)
+        with pytest.raises(ValueError, match="rank"):
+            R.unroll(conv, Tensor(x[:, None]))
 
     def test_saturated_forget_identity_conv_lstm(self, rng):
         cell = R.ConvLSTMCell(2, 3, 3, _init(rng))
@@ -225,7 +233,7 @@ class TestConvCells:
         x = Tensor(rng.normal(size=(2, 4, 4, 4, 2)).astype(np.float32))
         hp = Tensor(rng.normal(size=(2, 4, 4, 4, 3)).astype(np.float32))
         cp = Tensor(rng.normal(size=(2, 4, 4, 4, 3)).astype(np.float32))
-        _, c = cell.step(x, (hp, cp), 0, training=True)
+        _, c = cell.step(x, (hp, cp), 0, training=True, joined=cell.join())
         npt.assert_allclose(c.data, cp.data, atol=1e-6)
 
 
@@ -281,7 +289,8 @@ class TestUnroll:
         cell = R.GRUCell(3, 4, _init(rng))
         x = Tensor(rng.normal(size=(2, 1, 3)).astype(np.float32))
         via_unroll = R.unroll(cell, x, training=True).data
-        direct = cell.step(x[:, 0], Tensor.zeros((2, 4)), 0, training=True).data
+        direct = cell.step(x[:, 0], Tensor.zeros((2, 4)), 0, training=True,
+                           joined=cell.join()).data
         npt.assert_array_equal(via_unroll, direct)
 
     def test_identity_cell_returns_h0(self, rng):
@@ -363,10 +372,13 @@ def _input_seq(kind, rng):
 
 
 def _perturb_norms(cell, rng):
-    # nontrivial gains, shifts and running statistics in every slot
+    # nontrivial gains, shifts, per-gate momentum and eps, and running
+    # statistics in every slot
     for bn in _norms(cell).values():
         bn.gamma.data[:] = rng.uniform(0.5, 1.5, size=bn.channels)
         bn.beta.data[:] = rng.normal(size=bn.channels) * 0.3
+        bn.momentum = rng.uniform(0.05, 0.5)
+        bn.eps = rng.uniform(1e-3, 0.1)
         bn.running_mean[:] = rng.normal(size=bn.running_mean.shape) * 0.5
         bn.running_var[:] = rng.uniform(0.5, 2.0, size=bn.running_var.shape)
 
@@ -472,11 +484,12 @@ class TestFusedGates:
         assert len(maps) == 1 + 3 * (p - 1)
         assert len(norms) == 2 * p
 
-    # Graph nodes of one training unroll from the zero state: the fused maps
-    # and norms, then whole-block gate additions and activations with a
-    # single gate sliced out only where it is consumed.
-    @pytest.mark.parametrize("kind,nodes", [("gru", 85), ("lstm", 92),
-                                            ("convgru", 85), ("convlstm", 92)])
+    # Graph nodes of one training unroll from the zero state: each side's
+    # weights, gamma and beta joined once, the fused maps and norms per step,
+    # then whole-block gate additions and activations with a single gate
+    # sliced out only where it is consumed.
+    @pytest.mark.parametrize("kind,nodes", [("gru", 74), ("lstm", 81),
+                                            ("convgru", 74), ("convlstm", 81)])
     def test_unroll_graph_node_count(self, rng, kind, nodes):
         cell = _make_cell(kind, rng)
         h = R.unroll(cell, Tensor(_input_seq(kind, rng)), training=True)
