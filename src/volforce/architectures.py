@@ -36,19 +36,11 @@ from volforce import ops
 from volforce import tensor as T
 from volforce.phantom import atomic_write, bytes_left, read_exact, unpack
 from volforce.recurrent import ConvGRUCell, ConvLSTMCell, GRUCell, LSTMCell, unroll
+from volforce.reps import GEOMETRY
 from volforce.tensor import Tensor
 
 FAMILIES = ("resnet", "fac_resnet", "resnet_rnn", "convrnn_resnet")
-REPRESENTATIONS = ("2d-s", "3d-s", "3d-st", "4d-st", "ps-4d-st")
-
-# representation -> (has temporal axis, spatial rank)
-_REP_GEOM = {
-    "2d-s": (False, 2),
-    "3d-s": (False, 3),
-    "3d-st": (True, 2),
-    "4d-st": (True, 3),
-    "ps-4d-st": (True, 3),
-}
+REPRESENTATIONS = tuple(GEOMETRY)
 
 
 @dataclass
@@ -81,7 +73,7 @@ class ModelConfig:
             raise ValueError(f"unknown representation {self.representation!r}")
         if self.capacity not in ("base", "wide", "deep"):
             raise ValueError(f"unknown capacity {self.capacity!r}")
-        temporal, n_spatial = _REP_GEOM[self.representation]
+        temporal, n_spatial = GEOMETRY[self.representation]
         if self.family in ("resnet_rnn", "convrnn_resnet"):
             if not temporal:
                 raise ValueError(
@@ -119,10 +111,10 @@ class ModelConfig:
         return self.max_channels if self.max_channels else 4 * self.channels()
 
     def temporal(self) -> bool:
-        return _REP_GEOM[self.representation][0]
+        return GEOMETRY[self.representation][0]
 
     def n_spatial(self) -> int:
-        return _REP_GEOM[self.representation][1]
+        return GEOMETRY[self.representation][1]
 
     def input_rank(self) -> int:
         # batch + optional time + spatial + channel

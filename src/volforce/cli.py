@@ -229,7 +229,7 @@ def _train_one(settings, p: int, f: int, splits=None, quiet=False):
         learning_rate=settings["lr"] if settings["lr"] is not None else lr_default,
         ema_decay=settings["ema_decay"],
         seed=settings["seed"])
-    net = arch_mod.build(config, seed=cfg.seed, init_std=cfg.init_std)
+    net = arch_mod.build(config, seed=cfg.seed)
     run_id = _run_id(settings, p, f)
     out_dir = settings["out"]
     os.makedirs(out_dir, exist_ok=True)

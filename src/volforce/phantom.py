@@ -81,6 +81,11 @@ class SimConfig:
     hard_mode: bool = False     # per-experiment stiffness variation
     force: ForceParams = field(default_factory=ForceParams)
 
+    def __post_init__(self):
+        if self.h < 1 or self.w < 1 or self.d_raw < 2:
+            raise ValueError(f"volume extents {self.h}x{self.w}x{self.d_raw} need "
+                             "height and width >= 1 and d_raw >= 2")
+
 
 @dataclass
 class ExperimentMeta:

@@ -16,61 +16,54 @@ at i+f (horizon ``f``); spatial-only representations use single frames.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from volforce import tensor as T
 
-
-@dataclass
-class DepthMap:
-    """Per-column surface depth indices in [0, d_raw - 1]."""
-
-    values: np.ndarray  # [h, w] integer depth indices
-    d_raw: int
-
-    def __post_init__(self):
-        if self.values.min() < 0 or self.values.max() > self.d_raw - 1:
-            raise ValueError("depth values outside [0, d_raw - 1]")
+# representation -> (has temporal axis, spatial rank)
+GEOMETRY = {
+    "2d-s": (False, 2),
+    "3d-s": (False, 3),
+    "3d-st": (True, 2),
+    "4d-st": (True, 3),
+    "ps-4d-st": (True, 3),
+}
 
 
-def project_depth(volume: np.ndarray) -> DepthMap:
-    """Surface localization: per-column argmax of intensity over depth.
+def project_depth(volume: np.ndarray) -> np.ndarray:
+    """Surface localization: argmax of intensity over depth, for each
+    column of volumes [..., h, w, d].
 
-    Ties break toward the smallest depth index (the surface side).
+    Returns the integer depth indices [..., h, w].  Ties break toward the
+    smallest depth index (the surface side).
     """
     vol = np.asarray(volume)
-    if vol.ndim != 3:
-        raise ValueError(f"expected [h, w, d] volume, got shape {vol.shape}")
+    if vol.ndim < 3:
+        raise ValueError(f"expected [..., h, w, d] volumes, got shape {vol.shape}")
     if not np.isfinite(vol).all():
         raise ValueError("volume contains non-finite values")
-    return DepthMap(values=np.argmax(vol, axis=-1), d_raw=vol.shape[-1])
+    return np.argmax(vol, axis=-1)
 
 
-def reproject_pseudo(dm: DepthMap, d_out: int) -> np.ndarray:
-    """Re-embed a depth map as a column-one-hot occupancy volume [h, w, d_out].
+def reproject_pseudo(depth: np.ndarray, d_raw: int, d_out: int) -> np.ndarray:
+    """Re-embed depth indices [..., h, w] in [0, d_raw - 1] as column-one-hot
+    occupancy volumes [..., h, w, d_out].
 
     Depth indices rescale as round(depth * (d_out - 1) / (d_raw - 1)) with
     exact integer arithmetic (round half up).
     """
     if d_out < 1:
         raise ValueError("d_out must be >= 1")
-    h, w = dm.values.shape
-    if dm.d_raw == 1 or d_out == 1:
-        z = np.zeros((h, w), dtype=np.int64)
+    k = np.asarray(depth, dtype=np.int64)
+    if d_raw == 1 or d_out == 1:
+        z = np.zeros_like(k)
     else:
-        k = dm.values.astype(np.int64)
-        num = 2 * k * (d_out - 1) + (dm.d_raw - 1)
-        z = num // (2 * (dm.d_raw - 1))
-    vol = np.zeros((h, w, d_out), dtype=T.default_dtype())
-    ii, jj = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
-    vol[ii, jj, z] = 1.0
-    return vol
+        z = (2 * k * (d_out - 1) + (d_raw - 1)) // (2 * (d_raw - 1))
+    return (z[..., None] == np.arange(d_out)).astype(T.default_dtype())
 
 
 def resample_depth_axis(volume: np.ndarray, d_out: int) -> np.ndarray:
-    """Linear resampling of [h, w, d_raw] volumes along the depth axis.
+    """Linear resampling of [..., h, w, d_raw] volumes along the depth axis.
 
     The lateral grid already matches the target, so trilinear resampling
     reduces to interpolation along depth at ``d_out`` evenly spaced
@@ -83,7 +76,7 @@ def resample_depth_axis(volume: np.ndarray, d_out: int) -> np.ndarray:
     lo = np.floor(pos).astype(np.int64)
     hi = np.minimum(lo + 1, d_raw - 1)
     frac = (pos - lo).astype(volume.dtype)
-    out = volume[..., lo] * (1.0 - frac) + volume[..., hi] * frac
+    out = np.take(volume, lo, axis=-1) * (1.0 - frac) + np.take(volume, hi, axis=-1) * frac
     return out.astype(T.default_dtype(), copy=False)
 
 
@@ -95,14 +88,11 @@ def frames_for(representation: str, volumes: np.ndarray, d_out: int = 16) -> np.
     """
     vols = np.asarray(volumes)
     if representation in ("4d-st", "3d-s"):
-        frames = np.stack([resample_depth_axis(v, d_out) for v in vols])
+        frames = resample_depth_axis(vols, d_out)
     elif representation in ("3d-st", "2d-s"):
-        d_raw = vols.shape[-1]
-        denom = max(d_raw - 1, 1)
-        frames = np.stack([project_depth(v).values / denom for v in vols])
-        frames = frames.astype(T.default_dtype())
+        frames = (project_depth(vols) / max(vols.shape[-1] - 1, 1)).astype(T.default_dtype())
     elif representation == "ps-4d-st":
-        frames = np.stack([reproject_pseudo(project_depth(v), d_out) for v in vols])
+        frames = reproject_pseudo(project_depth(vols), vols.shape[-1], d_out)
     else:
         raise ValueError(f"unknown representation {representation!r}")
     return frames[..., None]
@@ -116,10 +106,13 @@ class WindowedData:
     """
 
     def __init__(self, representation: str, p: int, f: int):
+        if representation not in GEOMETRY:
+            raise ValueError(f"unknown representation {representation!r}")
         if p < 1 or f < 0:
             raise ValueError("history must be >= 1 and horizon >= 0")
         self.representation = representation
-        self.p = 1 if representation in ("2d-s", "3d-s") else p
+        self.temporal = GEOMETRY[representation][0]
+        self.p = p if self.temporal else 1
         self.f = f
         self.frames: list[np.ndarray] = []
         self.labels: list[np.ndarray] = []
@@ -140,10 +133,10 @@ class WindowedData:
         xs, ys = [], []
         for i in indices:
             e, end = self.windows[i]
-            if self.representation in ("2d-s", "3d-s"):
-                xs.append(self.frames[e][end])
-            else:
+            if self.temporal:
                 xs.append(self.frames[e][end - self.p + 1:end + 1])
+            else:
+                xs.append(self.frames[e][end])
             ys.append(self.labels[e][end + self.f])
         return np.stack(xs), np.asarray(ys, dtype=np.float64).reshape(-1, 1)
 

@@ -109,9 +109,6 @@ class Tensor:
     def __add__(self, other):
         return add(self, _as_tensor(other))
 
-    def __radd__(self, other):
-        return add(_as_tensor(other), self)
-
     def __sub__(self, other):
         return sub(self, _as_tensor(other))
 
@@ -123,9 +120,6 @@ class Tensor:
 
     def __rmul__(self, other):
         return mul(_as_tensor(other), self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     def __getitem__(self, index):
         return getitem(self, index)
@@ -283,18 +277,14 @@ def reshape(a: Tensor, shape) -> Tensor:
 
 
 def getitem(a: Tensor, index) -> Tensor:
+    """Basic indexing (integers and slices) of ``a``."""
     out_data = a.data[index]
-    fancy = any(isinstance(i, (list, np.ndarray)) for i in
-                (index if isinstance(index, tuple) else (index,)))
 
     def backward_fn(g):
         # accumulate in place, so slices of one tensor share one gradient buffer
         if a.grad is None:
             a.grad = np.zeros_like(a.data)
-        if fancy:
-            np.add.at(a.grad, index, g)  # repeated indices must accumulate
-        else:
-            a.grad[index] += g
+        a.grad[index] += g
 
     return _make(np.ascontiguousarray(out_data), (a,), backward_fn)
 

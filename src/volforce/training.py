@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from volforce import tensor as T
+from volforce.reps import GEOMETRY
 from volforce.tensor import Tensor
 
 
@@ -52,16 +53,17 @@ class TrainConfig:
     epochs: int = 100
     batch_size: int = 8
     learning_rate: float = 2.5e-4
-    init_std: float = 0.01
     seed: int = 0
     ema_decay: float = 0.999
     shuffle: bool = True  # per-epoch reshuffle of window indices
 
     def __post_init__(self):
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ValueError("epochs and batch size must be positive")
+        if self.epochs < 1 or self.batch_size < 2:
+            raise ValueError("need epochs >= 1 and batch size >= 2 (batch norm needs 2 samples)")
         if self.learning_rate < 0:
             raise ValueError("learning rate must be >= 0")
+        if not 0.0 <= self.ema_decay <= 1.0:
+            raise ValueError(f"EMA decay must lie in [0, 1], got {self.ema_decay}")
 
 
 def defaults_for(representation: str) -> tuple[int, float]:
@@ -70,7 +72,7 @@ def defaults_for(representation: str) -> tuple[int, float]:
     Volume-sequence (4D) inputs train with batch 8 at 2.5e-4; everything
     lower-dimensional with batch 16 at 5e-4.
     """
-    if representation in ("4d-st", "ps-4d-st"):
+    if GEOMETRY[representation] == (True, 3):
         return 8, 2.5e-4
     return 16, 5e-4
 
@@ -78,11 +80,11 @@ def defaults_for(representation: str) -> tuple[int, float]:
 class Adam:
     """Bias-corrected Adam over a named parameter list (in-place updates)."""
 
-    def __init__(self, named_params, learning_rate: float,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, named_params, learning_rate: float):
         self.named_params = list(named_params)
         self.learning_rate = learning_rate
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.step_count = 0
         self.m = [np.zeros(p.shape, dtype=np.float64) for _, p in self.named_params]
         self.v = [np.zeros(p.shape, dtype=np.float64) for _, p in self.named_params]

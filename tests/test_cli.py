@@ -63,6 +63,17 @@ class TestGen:
         assert rc == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag,value", [("--d-raw", "1"), ("--height", "0"),
+                                            ("--width", "0")])
+    def test_bad_volume_extents_exit_with_one_error_line(self, tmp_path, capsys,
+                                                         flag, value):
+        rc = cli.main(["gen", "--experiments", "3", "--samples", "4", flag, value,
+                       "--out", str(tmp_path)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "extents" in err and err.count("\n") == 1
+        assert os.listdir(tmp_path) == []
+
 
 class TestTrain:
     def test_writes_checkpoint_and_loss_csv(self, tmp_path):
@@ -97,6 +108,21 @@ class TestTrain:
             assert rc == 1
             err = capsys.readouterr().err
             assert err.startswith("error:") and flag in err and len(err.splitlines()) == 1
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("flag,value,text", [
+        ("--batch-size", "1", "batch size"), ("--ema-decay", "5", "EMA decay"),
+        ("--ema-decay", "-0.1", "EMA decay"), ("--ema-decay", "nan", "EMA decay")])
+    def test_bad_train_settings_exit_with_one_error_line(self, tmp_path, capsys,
+                                                         flag, value, text):
+        ds = _gen(tmp_path)
+        capsys.readouterr()
+        rc = cli.main(["train", "--dataset", str(ds), "--arch", "resnet2d-s",
+                       "--rep", "2d-s", *TINY, flag, value, "--epochs", "1",
+                       "--out", str(tmp_path / "run")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and text in err and err.count("\n") == 1
         assert not (tmp_path / "run").exists()
 
     def test_missing_dataset_exits_nonzero(self, tmp_path):

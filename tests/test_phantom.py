@@ -112,7 +112,7 @@ class TestRender:
                                 z0_mm=0.4, sigma_mm=0.7)
         vol = P.render_volume(0.0, meta, cfg)
         dm = reps.project_depth(vol)
-        assert len(np.unique(dm.values)) == 1
+        assert len(np.unique(dm)) == 1
 
     def test_bump_center_depth_increase_matches_geometry(self):
         cfg = _small_cfg(noise=False)
@@ -122,8 +122,8 @@ class TestRender:
                                 cx_mm=0.0, cy_mm=0.0, z0_mm=4 * mm_per_voxel,
                                 sigma_mm=50.0)  # wide bump: center column at full depth
         delta = 1.0
-        flat = reps.project_depth(P.render_volume(0.0, meta, cfg)).values
-        dented = reps.project_depth(P.render_volume(delta, meta, cfg)).values
+        flat = reps.project_depth(P.render_volume(0.0, meta, cfg))
+        dented = reps.project_depth(P.render_volume(delta, meta, cfg))
         center = (cfg.h // 2, cfg.w // 2)
         expected = int(math.floor(delta / mm_per_voxel + 0.5))
         assert dented[center] - flat[center] == expected
@@ -141,7 +141,7 @@ class TestRender:
         meta = P.ExperimentMeta(0, "sinusoid", "train", {}, None, None,
                                 cx_mm=0.5, cy_mm=-0.4, sigma_mm=0.5)
         vol = P.render_volume(1.2, meta, cfg, rng)
-        dm = reps.project_depth(vol).values
+        dm = reps.project_depth(vol)
         iy, ix = np.unravel_index(np.argmax(dm), dm.shape)
         # convert needle mm position to the nearest lateral cell
         step = cfg.lateral_fov_mm / cfg.h
@@ -193,7 +193,7 @@ class TestGenerate:
             h=6, w=6, d_raw=64, noise=False,
             force=P.ForceParams(c=0.0))
         exp = next(P.experiments(3, cfg, (0.4, 0.3, 0.3)))
-        excursion = np.array([reps.project_depth(v).values.max() for v in exp.volumes])
+        excursion = reps.project_depth(exp.volumes).max(axis=(1, 2))
         by_exc = {}
         for e, f in zip(excursion, exp.forces):
             by_exc.setdefault(int(e), []).append(float(f))

@@ -15,12 +15,11 @@ class TestProjectDepth:
             for j in range(5):
                 vol[i, j, depths[i, j]] = 1.0
         dm = reps.project_depth(vol)
-        npt.assert_array_equal(dm.values, depths)
-        assert dm.d_raw == 32
+        npt.assert_array_equal(dm, depths)
 
     def test_uniform_volume_ties_to_zero(self):
         dm = reps.project_depth(np.ones((3, 3, 16)))
-        npt.assert_array_equal(dm.values, 0)
+        npt.assert_array_equal(dm, 0)
 
     def test_matches_exhaustive_scan(self, rng):
         vol = rng.normal(size=(6, 7, 20))
@@ -31,7 +30,7 @@ class TestProjectDepth:
                 for z in range(20):
                     if vol[i, j, z] > best:  # strict: keeps first maximum
                         best, best_z = vol[i, j, z], z
-                assert dm.values[i, j] == best_z
+                assert dm[i, j] == best_z
 
     def test_non_finite_rejected(self):
         vol = np.ones((2, 2, 4))
@@ -44,34 +43,48 @@ class TestReprojectPseudo:
     def test_round_trip_identity(self, rng):
         for _ in range(50):
             d_raw = int(rng.integers(2, 64))
-            dm = reps.DepthMap(rng.integers(0, d_raw, size=(5, 4)), d_raw)
-            vol = reps.reproject_pseudo(dm, d_out=d_raw)
+            dm = rng.integers(0, d_raw, size=(5, 4))
+            vol = reps.reproject_pseudo(dm, d_raw, d_out=d_raw)
             back = reps.project_depth(vol)
-            npt.assert_array_equal(back.values, dm.values)
+            npt.assert_array_equal(back, dm)
 
     def test_constant_zero_depth_gives_first_slice(self):
-        dm = reps.DepthMap(np.zeros((3, 3), dtype=np.int64), 128)
-        vol = reps.reproject_pseudo(dm, d_out=16)
+        dm = np.zeros((3, 3), dtype=np.int64)
+        vol = reps.reproject_pseudo(dm, 128, d_out=16)
         npt.assert_array_equal(vol[:, :, 0], 1.0)
         assert vol.sum() == 9
 
     def test_columns_one_hot(self, rng):
-        dm = reps.DepthMap(rng.integers(0, 128, size=(8, 8)), 128)
-        vol = reps.reproject_pseudo(dm, d_out=32)
+        dm = rng.integers(0, 128, size=(8, 8))
+        vol = reps.reproject_pseudo(dm, 128, d_out=32)
         sums = vol.sum(axis=-1)
         npt.assert_array_equal(sums, 1.0)
         assert set(np.unique(vol)) <= {0.0, 1.0}
 
     def test_scaling_matches_rational_arithmetic(self, rng):
         d_raw, d_out = 128, 32
-        dm = reps.DepthMap(rng.integers(0, d_raw, size=(10, 10)), d_raw)
-        vol = reps.reproject_pseudo(dm, d_out)
+        dm = rng.integers(0, d_raw, size=(10, 10))
+        vol = reps.reproject_pseudo(dm, d_raw, d_out)
         got = np.argmax(vol, axis=-1)
         for i in range(10):
             for j in range(10):
-                exact = Fraction(int(dm.values[i, j]) * (d_out - 1), d_raw - 1)
+                exact = Fraction(int(dm[i, j]) * (d_out - 1), d_raw - 1)
                 expected = int(exact + Fraction(1, 2))  # round half up
                 assert got[i, j] == expected
+
+
+class TestFramesFor:
+    @pytest.mark.parametrize("representation", list(reps.GEOMETRY))
+    def test_whole_experiment_equals_per_volume_frames(self, rng, representation):
+        vols = rng.integers(0, 4, size=(7, 3, 5, 12)).astype(np.float32)  # with ties
+        whole = reps.frames_for(representation, vols, d_out=8)
+        for i, v in enumerate(vols):
+            one = reps.frames_for(representation, v[None], d_out=8)[0]
+            assert whole[i].tobytes() == one.tobytes()
+
+    def test_unknown_representation_rejected(self):
+        with pytest.raises(ValueError, match="unknown representation"):
+            reps.WindowedData("5d-st", 2, 0)
 
 
 class TestWindow:
