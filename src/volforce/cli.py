@@ -329,20 +329,27 @@ def _sweep_cell(settings, p: int, f: int):
     return report
 
 
+def _cell_outcome(run, *args):
+    """A sweep cell's report, or the error (of a kind ``main`` reports) that ended it."""
+    try:
+        return run(*args)
+    except (ValueError, OSError, FloatingPointError, KeyError) as exc:
+        return exc
+
+
 def cmd_sweep(settings) -> int:
     ps = _int_list(settings["history"])
     fs = _int_list(settings["horizon"])
     cells = [(p, f) for p in ps for f in fs]
     jobs = settings["jobs"]
-    reports = []
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             futures = [pool.submit(_sweep_cell, settings, p, f) for p, f in cells]
-            reports = [fut.result() for fut in futures]
+            outcomes = [_cell_outcome(fut.result) for fut in futures]
     else:
-        for p, f in cells:
-            reports.append(_sweep_cell(settings, p, f))
+        outcomes = [_cell_outcome(_sweep_cell, settings, p, f) for p, f in cells]
+    reports = [r for r in outcomes if not isinstance(r, Exception)]
     out_dir = settings["out"]
     os.makedirs(out_dir, exist_ok=True)
     lines = [metrics_mod.MetricsReport.csv_header()]
@@ -350,10 +357,13 @@ def cmd_sweep(settings) -> int:
     atomic_write(os.path.join(out_dir, "sweep.csv"), ("\n".join(lines) + "\n").encode())
     rows = [{"p": r.p, "f": r.f, "mae": r.mae} for r in reports]
     atomic_write(os.path.join(out_dir, "sweep.svg"), svg.sweep_figure(rows).encode())
-    for r in reports:
-        print(f"p={r.p} f={r.f}: mae {r.mae:.3f} mN, pcc {r.pcc:.4f}")
+    for (p, f), r in zip(cells, outcomes):
+        if isinstance(r, Exception):
+            print(f"error: p={p} f={f}: {r}", file=sys.stderr)
+        else:
+            print(f"p={r.p} f={r.f}: mae {r.mae:.3f} mN, pcc {r.pcc:.4f}")
     print(f"wrote {os.path.join(out_dir, 'sweep.csv')} ({len(reports)} runs)")
-    return 0
+    return int(len(reports) < len(cells))
 
 
 def main(argv=None) -> int:

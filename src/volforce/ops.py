@@ -16,11 +16,12 @@ every unstrided position).  The fold moves the first axis's taps into
 the GEMM's output columns (a one-axis kn2row) and the last axis's taps
 into its inner dimension (a one-axis im2col, free because with channels
 last they are one contiguous run): 9 GEMMs rather than 81 for 4D, on
-buffers that stay in cache.  Its dx is the same fold run on the output
-gradient with the kernel flipped when stride 1 and odd kernels make the
-padding symmetric, and a scatter otherwise.  A temporal axis with
-k_t = 1 joins the batch, so that call is exactly the per-frame
-convolution.
+buffers that stay in cache.  Its dK puts every middle offset's window side
+by side in a tile of whole frames, one wide GEMM per tile.  Its dx is the
+same fold run on the output gradient with the kernel flipped when stride 1
+and odd kernels make the padding symmetric, and a scatter otherwise.  A
+temporal axis with k_t = 1 joins the batch, so that call is exactly the
+per-frame convolution.
 
 ``conv_nd_reference`` is the slow, straight-line evaluation of the N-D
 convolution sum and is the correctness oracle for every faster path in
@@ -105,7 +106,8 @@ def conv_nd_reference(x, K, stride: int = 1, temporal: bool = False) -> np.ndarr
 
 # -- fast convolution (one autodiff primitive) -------------------------------------
 
-# Bound on one chunk of gathered columns (a chunk holds at least one sample).
+# Bound on one chunk of gathered columns (a chunk holds at least one sample)
+# and on one tile of the fold's dK windows (a tile holds at least one frame).
 GATHER_CHUNK_BYTES = 8 << 20
 
 
@@ -208,8 +210,12 @@ def _conv_folded(xd, Kd, strides, geom):
     whose window lies wholly in the padding add nothing and are skipped.
     A call with no trailing axis gets a unit one.
 
-    Backward builds dZ from k0 shifted copies of g per sample; dK sums the
-    per-sample partials ``bufᵀ @ dZ`` in sample order.  dx takes one of
+    Backward builds dZ from k0 shifted copies of g per sample.  dK copies
+    every live offset's window side by side into a tile of whole frames
+    (at least one, within ``GATHER_CHUNK_BYTES``) and runs one GEMM
+    ``wideᵀ @ dZ`` per tile, an output wide enough for BLAS's threads; it
+    sums each sample's tiles, then the per-sample partials in sample order,
+    so k_t = 1 stays the per-frame convolution bit for bit.  dx takes one of
     two routes.  With stride 1 and odd kernel extents on every axis the
     SAME padding is symmetric, so dx is this function's forward of g with
     the kernel flipped on every axis and c_in, c_out swapped: GEMMs of the
@@ -275,37 +281,46 @@ def _conv_folded(xd, Kd, strides, geom):
     def dz_pass(g, need_dK, scatter):
         """dK and/or the scatter dx, from dZ built per sample."""
         g3 = g.reshape(batch, e0, frame, cout)
+        # the dK tile before the per-sample buffers: with glibc's heap this
+        # order measured a lower peak RSS in resnet4d training
+        width = len(live) * kl * cin
+        tile = min(e0, max(1, GATHER_CHUNK_BYTES // (frame * width * xd.itemsize)))
+        wide = np.empty((tile * frame, width), dtype=xd.dtype)
+        wide_nd = wide.reshape((tile,) + out_trail + (len(live), kl, cin))
         xp, xw = padded_sample(cin)
-        buf = np.empty((rows, kl * cin), dtype=xd.dtype)
-        buf_nd = buf.reshape((e0,) + out_trail + (kl, cin))
         dZ = np.zeros((rows, k0 * cout), dtype=xd.dtype)  # unread frames stay zero
         dZ3 = dZ.reshape(e0, frame, k0, cout)
+        dKw, part, prod = (np.zeros((width, k0 * cout), dtype=xd.dtype) for _ in range(3))
         dKf = np.zeros_like(Kf) if need_dK else None  # skipped offsets stay zero
-        part = np.empty_like(Kf[0])
         if scatter:
             dxp, dxw = padded_sample(cin, writeable=True)
             dx = np.empty_like(xd)
+            buf = np.empty((rows, kl * cin), dtype=xd.dtype)
+            buf_nd = buf.reshape((e0,) + out_trail + (kl, cin))
         for b in range(batch):
             for k, a0, a1 in taps:
                 dZ3[a0 + k - lo0:a1 + k - lo0, :, k] = g3[b, a0:a1]
-            if need_dK:
+            if need_dK:  # the sample's tiles sum into its partial, in order
                 xp[inner] = xd[b]
+                for f0 in range(0, e0, tile):
+                    f1 = min(f0 + tile, e0)
+                    for i, j in enumerate(live):
+                        np.copyto(wide_nd[:f1 - f0, ..., i, :, :], xw[f0:f1][index[j]])
+                    np.matmul(wide[:(f1 - f0) * frame].T, dZ[f0 * frame:f1 * frame],
+                              out=prod if f0 else part)
+                    if f0:
+                        part += prod
+                dKw += part
             if scatter:
                 dxp.fill(0)
-            for j in live:
-                if need_dK:
-                    np.copyto(buf_nd, xw[index[j]])
-                    if b == 0:
-                        np.matmul(buf.T, dZ, out=dKf[j])
-                    else:
-                        dKf[j] += np.matmul(buf.T, dZ, out=part)
-                if scatter:
+                for j in live:
                     np.matmul(dZ, Kf[j].T, out=buf)
                     target = dxw[index[j]]
                     for t in range(kl):
                         target[..., t, :] += buf_nd[..., t, :]
-            if scatter:
                 dx[b] = dxp[inner]
+        if need_dK:
+            dKf[live] = dKw.reshape(len(live), kl * cin, k0 * cout)
         return dKf, (dx if scatter else None)
 
     def grads(g, need_dx, need_dK):
@@ -336,7 +351,8 @@ def conv_nd(x: Tensor, K: Tensor, stride: int = 1, temporal: bool = False) -> Te
     - c_in > 1, first axis at stride 1: that axis's taps fold into the
       GEMM's output columns and the last axis's taps into its inner
       dimension, one sample at a time (one GEMM per middle offset: 9
-      rather than 81 for 4D), so the buffers stay in cache.  dx is the
+      rather than 81 for 4D), so the buffers stay in cache.  dK is one
+      wide GEMM per tile of whole frames over all middle offsets.  dx is the
       same fold of g with the flipped kernel when stride 1 and odd
       kernels make the padding symmetric (GEMMs of the forward's shape,
       no scatter); strided or even kernels scatter dx;

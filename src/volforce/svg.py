@@ -100,7 +100,7 @@ def sweep_figure(rows) -> str:
     ps = sorted({r["p"] for r in rows})
     maes = [r["mae"] for r in rows]
     fx, fmin, fmax = _axis_map(fs if len(fs) > 1 else [0, 1], x0 + 15, x1 - 15)
-    fy, mmin, mmax = _axis_map(maes, y1 - 15, y0 + 15)
+    fy, mmin, mmax = _axis_map(maes or [0.0], y1 - 15, y0 + 15)
     el += _ticks(fx, fmin, fmax, "x", y1, n=len(fs))
     el += _ticks(fy, mmin, mmax, "y", x0)
     colors = ["steelblue", "crimson", "seagreen", "darkorange", "purple"]

@@ -408,16 +408,20 @@ def finite_diff_report(f: Callable[[], Tensor], params: Sequence[Tensor],
     unperturbed loss ``f0`` is evaluated once.  For each sampled
     coordinate the step ``h`` starts at ``eps``; the one-sided quotients
     ``(f(x+h) - f0) / h`` and ``(f0 - f(x-h)) / h`` are compared, and
-    while they differ by more than ``FD_SLOPE_GAP * max(1, |central|)`` the
-    step is divided by 10.  Shrinking stops at the floor ``FD_MIN_STEP``
-    (1e-7; there float64 round-off still leaves the quotient accurate to
-    about 1e-9 times the loss).  A ReLU whose pre-activation lies within
-    ``h`` of zero makes the one-sided slopes disagree, so the reference
-    moves to a step that no longer straddles the kink instead of
-    averaging two slopes; on a smooth loss the slopes differ only by the
-    curvature times ``h``.  The analytic gradient plays no part in
-    choosing ``h``, and no coordinate is dropped, so a wrong backward
-    still shows.
+    while they differ by more than ``tol = FD_SLOPE_GAP * max(1, |central|)``
+    the step is divided by 10.  Shrinking stops at the floor
+    ``FD_MIN_STEP`` (1e-7; there float64 round-off still leaves the
+    quotient accurate to about 1e-9 times the loss), or once a division
+    cut the gap at least 5x and moved the central difference by at most
+    ``tol``.  A ReLU whose pre-activation lies within ``h`` of zero makes
+    the one-sided slopes disagree, so the reference moves to a step that
+    no longer straddles the kink instead of averaging two slopes; a
+    smaller step that still straddles it moves the central difference by
+    a share of the slope jump.  On a smooth loss the gap is the curvature
+    times ``h``: it falls 10x per division while the central difference
+    moves by O(h^2), so one smaller step tells curvature from a kink.
+    The analytic gradient plays no part in choosing ``h``, and no
+    coordinate is dropped, so a wrong backward still shows.
 
     The relative error per coordinate is |analytic - central| /
     max(1, |central|) at the final step.  ``max_elements`` caps how many
@@ -446,7 +450,7 @@ def finite_diff_report(f: Callable[[], Tensor], params: Sequence[Tensor],
         gflat = np.zeros(n) if grad is None else grad.reshape(-1)
         for i in idxs:
             orig = flat[i]
-            h = eps
+            h, last_gap, last = eps, 0.0, np.nan  # no gap yet, so none has fallen
             while True:
                 flat[i] = orig + h
                 f_plus = loss_value()
@@ -458,10 +462,12 @@ def finite_diff_report(f: Callable[[], Tensor], params: Sequence[Tensor],
                     plain = numeric
                 slopes_gap = abs((f_plus - f0) - (f0 - f_minus)) / h
                 # the floor compare allows for rounding in repeated h / 10
-                if (slopes_gap <= FD_SLOPE_GAP * max(1.0, abs(numeric))
+                tol = FD_SLOPE_GAP * max(1.0, abs(numeric))
+                if (slopes_gap <= tol
+                        or (5.0 * slopes_gap <= last_gap and abs(numeric - last) <= tol)
                         or h / 10.0 < FD_MIN_STEP * (1.0 - 1e-6)):
                     break
-                h /= 10.0
+                h, last_gap, last = h / 10.0, slopes_gap, numeric
             checked += 1
             shrunk += int(h < eps)
             min_step = min(min_step, h)

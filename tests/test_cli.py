@@ -258,6 +258,34 @@ class TestSweep:
             outs[label] = (tmp_path / label / "sweep.csv").read_text()
         assert outs["serial"] == outs["parallel"]
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_failed_cell_keeps_the_finished_cells(self, tmp_path, capsys, jobs):
+        # horizon 30 leaves no training window, so the first cell fails
+        ds = _gen(tmp_path)
+        rc = cli.main(["sweep", "--dataset", str(ds), "--arch", "resnet2d-s",
+                       "--rep", "2d-s", "--history", "2", "--horizon", "30,0",
+                       "--epochs", "1", *TINY, "--out", str(tmp_path / "sw"),
+                       "--jobs", jobs, "--seed", "2"])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: p=2 f=30: training split is empty"]
+        lines = (tmp_path / "sw" / "sweep.csv").read_text().splitlines()
+        assert lines[0] == metrics.MetricsReport.csv_header()
+        assert [line.split(",")[3:5] for line in lines[1:]] == [["2", "0"]]
+        assert (tmp_path / "sw" / "sweep.svg").read_text().startswith("<svg")
+
+    def test_no_finished_cell_writes_the_header_only(self, tmp_path, capsys):
+        ds = _gen(tmp_path)
+        rc = cli.main(["sweep", "--dataset", str(ds), "--arch", "resnet2d-s",
+                       "--rep", "2d-s", "--history", "2", "--horizon", "30",
+                       "--epochs", "1", *TINY, "--out", str(tmp_path / "sw")])
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: p=2 f=30: training split is empty"]
+        lines = (tmp_path / "sw" / "sweep.csv").read_text().splitlines()
+        assert lines == [metrics.MetricsReport.csv_header()]
+        assert (tmp_path / "sw" / "sweep.svg").read_text().startswith("<svg")
+
     def test_jobs_is_a_sweep_flag_only(self, capsys):
         assert cli._parser().parse_args(["sweep", "--jobs", "2"]).jobs == 2
         for command in ("gen", "train", "eval"):

@@ -186,6 +186,33 @@ class TestConvPrimitive:
         assert abs(np.vdot(x.data, x.grad) - forward) <= 1e-12 * abs(forward)
         assert abs(np.vdot(K.data, K.grad) - forward) <= 1e-12 * abs(forward)
 
+    # dK runs one wide GEMM per tile of whole frames, bounded by
+    # GATHER_CHUNK_BYTES; a frame's tile is frame rows by n_live·k_l·c_in
+    # columns.  Per case: that frame's float64 bytes and the frames per tile,
+    # so each sample spans several tiles and the last one is partial
+    TILE_CASES = {"3d k0=2": (15 * 12 * 8, 3), "4d temporal": (60 * 54 * 8, 2),
+                  "3d temporal s2": (6 * 18 * 8, 2), "4d temporal 1^3": (1 * 9 * 8, 3)}
+
+    @pytest.mark.parametrize("case", list(TILE_CASES))
+    def test_fold_dK_over_several_frame_tiles(self, rng, monkeypatch, case):
+        frame_bytes, frames = self.TILE_CASES[case]
+        monkeypatch.setattr(ops, "GATHER_CHUNK_BYTES", frame_bytes * frames)
+        x_shape, K_shape, stride, temporal = self.FOLD_CASES[case]
+        assert frames < x_shape[1] and x_shape[1] % frames
+        with T.use_dtype(np.float64):
+            x = Tensor(rng.normal(size=x_shape), requires_grad=True)
+            K = Tensor(rng.normal(size=K_shape) * 0.4, requires_grad=True)
+            out = ops.conv_nd(x, K, stride, temporal)
+            g = rng.normal(size=out.shape)
+            T.backward(T.tsum(out * Tensor(g)))
+            forward = np.vdot(out.data, g)
+            assert abs(np.vdot(K.data, K.grad) - forward) <= 1e-12 * abs(forward)
+            assert abs(np.vdot(x.data, x.grad) - forward) <= 1e-12 * abs(forward)
+            err = T.finite_diff_check(
+                lambda: T.tsum(square(ops.conv_nd(x, K, stride, temporal))), [x, K],
+                eps=1e-4, max_elements=32)
+        assert err < 1e-4
+
     # stride 1 and odd kernels on every axis: dx is the fold of g with the
     # flipped kernel (a second _conv_folded call); otherwise dx is scattered
     @pytest.mark.parametrize("case, dx_by_forward", [
@@ -272,6 +299,11 @@ class TestConv4d:
                 npt.assert_array_equal(xg.grad[b:b + 1, t], xf.grad)
                 dK = Kf.grad if dK is None else dK + Kf.grad
         npt.assert_array_equal(Kg.grad[0], dK)
+
+    def test_kt1_equals_per_timestep_3d_over_frame_tiles(self, rng, monkeypatch):
+        # dK tiles of 3 of each sample's 4 frames (1,152 float32 bytes each)
+        monkeypatch.setattr(ops, "GATHER_CHUNK_BYTES", 3 * 1152)
+        self.test_kt1_equals_per_timestep_3d(rng)
 
     def test_kt1_never_calls_conv_spatial(self, rng, monkeypatch):
         # conv_st with k_t = 1 is one node over (x, K), not a composition

@@ -184,6 +184,18 @@ class TestFiniteDiffCheck:
             assert (report.checked, report.shrunk) == (1, 1)
             assert T.finite_diff_check(f, [w], eps=1e-4) < 1e-6
 
+    @pytest.mark.parametrize("offset", [8.5e-6, 9e-6])
+    def test_kink_inside_the_smaller_step_is_not_taken_for_curvature(self, offset):
+        # at h = 1e-5 the kink is still straddled, yet the slope gap fell
+        # about 10x from h = 1e-4, as curvature's would: the central
+        # difference moved by ~0.4, so the step shrinks again
+        with T.use_dtype(np.float64):
+            relu_shifted = self._shifted_relu(0.5)
+            w = Tensor([0.5 + offset], requires_grad=True)
+            report = T.finite_diff_report(lambda: T.tsum(relu_shifted(w)), [w], eps=1e-4)
+            assert report.worst < 1e-6
+            npt.assert_allclose(report.min_step, 1e-6, rtol=1e-6)
+
     def test_step_stops_at_the_floor(self):
         # exactly on the kink the one-sided slopes disagree at every step
         with T.use_dtype(np.float64):
