@@ -23,6 +23,13 @@ and odd kernels make the padding symmetric, and a scatter otherwise.  A
 temporal axis with k_t = 1 joins the batch, so that call is exactly the
 per-frame convolution.
 
+The fold's per-sample work runs on a pool of one thread per usable CPU,
+made on first use, which pins numpy's OpenBLAS to one thread for the rest
+of the process; with one CPU, another BLAS, one sample or a small one it
+runs inline.  Each sample is written by one worker and the dK partials add
+in sample order in the calling thread, so no result depends on the
+worker count.
+
 ``conv_nd_reference`` is the slow, straight-line evaluation of the N-D
 convolution sum and is the correctness oracle for every faster path in
 this module.  Its accumulation order is pinned (documented below) so an
@@ -35,6 +42,9 @@ ReLU) is a single graph node that keeps two arrays the size of its input.
 
 from __future__ import annotations
 
+import ctypes
+import os
+from concurrent.futures import ThreadPoolExecutor
 from functools import lru_cache
 from itertools import product as iproduct
 from typing import Callable
@@ -109,6 +119,67 @@ def conv_nd_reference(x, K, stride: int = 1, temporal: bool = False) -> np.ndarr
 # Bound on one chunk of gathered columns (a chunk holds at least one sample)
 # and on one tile of the fold's dK windows (a tile holds at least one frame).
 GATHER_CHUNK_BYTES = 8 << 20
+# Bound on the fold's forward window and product tiles (whole frames, at
+# least one).  With whole-sample buffers per worker, train-resnet4d's peak
+# RSS read 345 MB on a 2-CPU host; with 1 MB tiles 328-334 MB (serial: 331).
+FRAME_TILE_BYTES = 1 << 20
+# A fold call whose per-sample Z is smaller runs its samples inline: with
+# no cutoff, float64 calls of a few KB took 1.3-2.1 ms instead of 0.5-0.7
+# and tier-1 41 s instead of 32 (2-CPU host); convgru's gate maps pass.
+POOL_MIN_BYTES = 64 << 10
+
+
+@lru_cache(maxsize=None)
+def _blas_threads():
+    """(set, get) for the thread count of the OpenBLAS that numpy loaded,
+    through ctypes; None when no OpenBLAS is mapped into the process (MKL,
+    Accelerate, another BLAS, or no /proc)."""
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = {line.split(None, 5)[-1].strip() for line in maps if "openblas" in line}
+        libs = [ctypes.CDLL(p) for p in sorted(paths, key=lambda p: ("numpy" not in p, p))
+                if p.startswith("/")]
+    except OSError:
+        return None
+    for lib, prefix, suffix in iproduct(libs, ("scipy_openblas", "openblas"), ("64_", "")):
+        setter, getter = (getattr(lib, f"{prefix}_{op}_num_threads{suffix}", None)
+                          for op in ("set", "get"))
+        if setter and getter:
+            setter.argtypes, setter.restype = [ctypes.c_int], None
+            getter.argtypes, getter.restype = [], ctypes.c_int
+            return setter, getter
+    return None
+
+
+def _workers() -> int:
+    """Threads for the fold's samples: one per usable CPU when numpy's
+    OpenBLAS can be pinned to one thread, else 1 (every call inline)."""
+    return len(os.sched_getaffinity(0)) if _blas_threads() else 1
+
+
+_POOL = {}  # the fold's worker threads, made on first use
+if hasattr(os, "register_at_fork"):  # a forked child's copy of the pool has no threads
+    os.register_at_fork(after_in_child=_POOL.clear)
+
+
+def _over_samples(batch: int, z_bytes: int, scratch, run) -> None:
+    """Call ``run(samples, scratch())`` over the batch: inline, or on the pool
+    with one contiguous range of samples per worker.  Every scratch set is
+    made here, in the calling thread: a worker's own allocations come from
+    its own glibc arena, which measured a higher peak RSS.  Making the pool
+    pins numpy's OpenBLAS to one thread for the rest of the process: after
+    a 2-thread GEMM its helper thread spins and competes with the workers."""
+    workers = min(batch, _workers()) if z_bytes >= POOL_MIN_BYTES else 1
+    ranges = [range(w * batch // workers, (w + 1) * batch // workers) for w in range(workers)]
+    sets = [scratch() for _ in ranges]
+    if workers == 1:
+        return run(ranges[0], sets[0])
+    if not _POOL:
+        blas = _blas_threads()
+        if blas:
+            blas[0](1)
+        _POOL["threads"] = ThreadPoolExecutor(_workers())
+    list(_POOL["threads"].map(run, ranges, sets))
 
 
 @lru_cache(maxsize=256)
@@ -201,21 +272,25 @@ def _conv_folded(xd, Kd, strides, geom):
     channels last, the k_l taps × c_in of one output position along the
     last axis are one contiguous run of the padded input, so they fold
     into the GEMM's inner dimension at no extra copy.  Per sample, the
-    trailing axes are zero-padded into one reused buffer; each middle
+    trailing axes are zero-padded into one reused buffer; per tile of
+    whole frames (at least one, within ``FRAME_TILE_BYTES``), each middle
     offset j (over the axes between the first and the last) copies its
-    window [e0, *out_mid, o_l, k_l, c_in] into one reused buffer and adds
-    ``buf @ Kf[j]`` into Z [e0, *out_trail, k0 * c_out]; k0 shifted
-    whole-frame adds of Z's column blocks then give the output.  That is
-    9 GEMMs per sample for 4D, 3 for 3D and 1 for 2D.  Middle offsets
-    whose window lies wholly in the padding add nothing and are skipped.
-    A call with no trailing axis gets a unit one.
+    window [frames, *out_mid, o_l, k_l, c_in] into one reused buffer and
+    adds ``buf @ Kf[j]`` into those frames of Z [e0, *out_trail, k0 *
+    c_out]; k0 shifted whole-frame adds of Z's column blocks then give the
+    output.  That is 9 GEMMs per sample and tile for 4D, 3 for 3D and 1
+    for 2D.  Middle offsets whose window lies wholly in the padding add
+    nothing and are skipped.  A call with no trailing axis gets a unit one.
+
+    ``_over_samples`` gives each worker thread a range of samples and its
+    own buffers; a worker writes only its samples' output, dx and dK rows.
 
     Backward builds dZ from k0 shifted copies of g per sample.  dK copies
     every live offset's window side by side into a tile of whole frames
     (at least one, within ``GATHER_CHUNK_BYTES``) and runs one GEMM
-    ``wideᵀ @ dZ`` per tile, an output wide enough for BLAS's threads; it
-    sums each sample's tiles, then the per-sample partials in sample order,
-    so k_t = 1 stays the per-frame convolution bit for bit.  dx takes one of
+    ``wideᵀ @ dZ`` per tile; a sample's tiles sum into its partial, and
+    the calling thread adds the partials in sample order, so k_t = 1
+    stays the per-frame convolution bit for bit.  dx takes one of
     two routes.  With stride 1 and odd kernel extents on every axis the
     SAME padding is symmetric, so dx is this function's forward of g with
     the kernel flipped on every axis and c_in, c_out swapped: GEMMs of the
@@ -254,74 +329,106 @@ def _conv_folded(xd, Kd, strides, geom):
         p = np.zeros((e0,) + padded_trail + (c,), dtype=xd.dtype)
         return p, np.swapaxes(sliding_window_view(p, kl, axis=-2, writeable=writeable), -1, -2)
 
+    z_bytes = rows * k0 * cout * xd.itemsize
+    ftile = min(e0, max(1, FRAME_TILE_BYTES // (frame * max(kl * cin, k0 * cout) * xd.itemsize)))
+
+    def frame_tiles(t):
+        return [(f0, min(f0 + t, e0)) for f0 in range(0, e0, t)]
+
+    def forward_scratch():
+        """A worker's padded sample and Z, and per tile of frames: its rows of
+        Z, the window and product buffers, and every live offset's window."""
+        xp, xw = padded_sample(cin)
+        Z = np.empty((rows, k0 * cout), dtype=xd.dtype)
+        buf = np.empty((ftile * frame, kl * cin), dtype=xd.dtype)
+        prod = np.empty((ftile * frame, k0 * cout), dtype=xd.dtype)
+        return xp, Z, [(Z[f0 * frame:f1 * frame], buf[:(f1 - f0) * frame],
+                        buf[:(f1 - f0) * frame].reshape((f1 - f0,) + out_trail + (kl, cin)),
+                        prod[:(f1 - f0) * frame], [xw[f0:f1][index[j]] for j in live])
+                       for f0, f1 in frame_tiles(ftile)]
+
+    def forward(samples, scratch):
+        xp, Z, tiled = scratch
+        Z3 = Z.reshape(e0, frame, k0, cout)
+        for b in samples:
+            xp[inner] = xd[b]
+            for zt, buf, buf_nd, prod, windows in tiled:
+                for i, (j, window) in enumerate(zip(live, windows)):
+                    np.copyto(buf_nd, window)
+                    if i == 0:
+                        np.matmul(buf, Kf[j], out=zt)
+                    else:
+                        zt += np.matmul(buf, Kf[j], out=prod)
+            for k, a0, a1 in taps:
+                if k == lo0:
+                    np.copyto(out[b], Z3[:, :, k])
+                else:
+                    out[b, a0:a1] += Z3[a0 + k - lo0:a1 + k - lo0, :, k]
+
     # the output before the per-sample buffers: with glibc's heap this order
     # measured a lower peak RSS in batch-64 inference
     out = np.empty((batch, e0, frame, cout), dtype=xd.dtype)
-    xp, xw = padded_sample(cin)
-    buf = np.empty((rows, kl * cin), dtype=xd.dtype)
-    buf_nd = buf.reshape((e0,) + out_trail + (kl, cin))
-    Z = np.empty((rows, k0 * cout), dtype=xd.dtype)
-    Z3 = Z.reshape(e0, frame, k0, cout)
-    prod = np.empty_like(Z)
-    for b in range(batch):
-        xp[inner] = xd[b]
-        for i, j in enumerate(live):
-            np.copyto(buf_nd, xw[index[j]])
-            if i == 0:
-                np.matmul(buf, Kf[j], out=Z)
-            else:
-                Z += np.matmul(buf, Kf[j], out=prod)
-        for k, a0, a1 in taps:
-            if k == lo0:
-                np.copyto(out[b], Z3[:, :, k])
-            else:
-                out[b, a0:a1] += Z3[a0 + k - lo0:a1 + k - lo0, :, k]
+    _over_samples(batch, z_bytes, forward_scratch, forward)
     flip_dx = all(s == 1 for s in strides) and all(k % 2 for k in Kd.shape[:-2])
 
     def dz_pass(g, need_dK, scatter):
         """dK and/or the scatter dx, from dZ built per sample."""
         g3 = g.reshape(batch, e0, frame, cout)
-        # the dK tile before the per-sample buffers: with glibc's heap this
-        # order measured a lower peak RSS in resnet4d training
         width = len(live) * kl * cin
         tile = min(e0, max(1, GATHER_CHUNK_BYTES // (frame * width * xd.itemsize)))
-        wide = np.empty((tile * frame, width), dtype=xd.dtype)
-        wide_nd = wide.reshape((tile,) + out_trail + (len(live), kl, cin))
-        xp, xw = padded_sample(cin)
-        dZ = np.zeros((rows, k0 * cout), dtype=xd.dtype)  # unread frames stay zero
-        dZ3 = dZ.reshape(e0, frame, k0, cout)
-        dKw, part, prod = (np.zeros((width, k0 * cout), dtype=xd.dtype) for _ in range(3))
-        dKf = np.zeros_like(Kf) if need_dK else None  # skipped offsets stay zero
-        if scatter:
-            dxp, dxw = padded_sample(cin, writeable=True)
-            dx = np.empty_like(xd)
-            buf = np.empty((rows, kl * cin), dtype=xd.dtype)
-            buf_nd = buf.reshape((e0,) + out_trail + (kl, cin))
-        for b in range(batch):
-            for k, a0, a1 in taps:
-                dZ3[a0 + k - lo0:a1 + k - lo0, :, k] = g3[b, a0:a1]
-            if need_dK:  # the sample's tiles sum into its partial, in order
-                xp[inner] = xd[b]
-                for f0 in range(0, e0, tile):
-                    f1 = min(f0 + tile, e0)
-                    for i, j in enumerate(live):
-                        np.copyto(wide_nd[:f1 - f0, ..., i, :, :], xw[f0:f1][index[j]])
-                    np.matmul(wide[:(f1 - f0) * frame].T, dZ[f0 * frame:f1 * frame],
-                              out=prod if f0 else part)
-                    if f0:
-                        part += prod
-                dKw += part
-            if scatter:
-                dxp.fill(0)
-                for j in live:
-                    np.matmul(dZ, Kf[j].T, out=buf)
-                    target = dxw[index[j]]
-                    for t in range(kl):
-                        target[..., t, :] += buf_nd[..., t, :]
-                dx[b] = dxp[inner]
+        parts = np.empty((batch, width, k0 * cout), dtype=xd.dtype) if need_dK else None
+        dx = np.empty_like(xd) if scatter else None
+
+        def scratch():
+            """A worker's buffers, and per dK tile of frames: its wide rows, its
+            rows of dZ, and (wide window, sample window) per live offset."""
+            # the dK tile before the per-sample buffers: with glibc's heap
+            # this order measured a lower peak RSS in resnet4d training
+            wide = np.empty((tile * frame, width), dtype=xd.dtype)
+            wide_nd = wide.reshape((tile,) + out_trail + (len(live), kl, cin))
+            xp, xw = padded_sample(cin)
+            dZ = np.zeros((rows, k0 * cout), dtype=xd.dtype)  # unread frames stay zero
+            tiled = [(wide[:(f1 - f0) * frame], dZ[f0 * frame:f1 * frame],
+                      [(wide_nd[:f1 - f0, ..., i, :, :], xw[f0:f1][index[j]])
+                       for i, j in enumerate(live)]) for f0, f1 in frame_tiles(tile)]
+            return (xp, dZ, tiled, np.empty((width, k0 * cout), dtype=xd.dtype),
+                    (padded_sample(cin, writeable=True),
+                     np.empty((rows, kl * cin), dtype=xd.dtype)) if scatter else None)
+
+        def run(samples, scratch):
+            xp, dZ, tiled, prod, scatter_bufs = scratch
+            dZ3 = dZ.reshape(e0, frame, k0, cout)
+            for b in samples:
+                for k, a0, a1 in taps:
+                    dZ3[a0 + k - lo0:a1 + k - lo0, :, k] = g3[b, a0:a1]
+                if need_dK:  # the sample's tiles sum into its partial, in order
+                    xp[inner] = xd[b]
+                    for t, (wide, dz, copies) in enumerate(tiled):
+                        for dst, src in copies:
+                            np.copyto(dst, src)
+                        np.matmul(wide.T, dz, out=prod if t else parts[b])
+                        if t:
+                            parts[b] += prod
+                if scatter:
+                    (dxp, dxw), buf = scatter_bufs
+                    buf_nd = buf.reshape((e0,) + out_trail + (kl, cin))
+                    dxp.fill(0)
+                    for j in live:
+                        np.matmul(dZ, Kf[j].T, out=buf)
+                        target = dxw[index[j]]
+                        for t in range(kl):
+                            target[..., t, :] += buf_nd[..., t, :]
+                    dx[b] = dxp[inner]
+
+        _over_samples(batch, z_bytes, scratch, run)
+        dKf = None
         if need_dK:
+            dKw = np.zeros((width, k0 * cout), dtype=xd.dtype)
+            for part in parts:  # the partials add in sample order
+                dKw += part
+            dKf = np.zeros_like(Kf)  # skipped offsets stay zero
             dKf[live] = dKw.reshape(len(live), kl * cin, k0 * cout)
-        return dKf, (dx if scatter else None)
+        return dKf, dx
 
     def grads(g, need_dx, need_dK):
         scatter = need_dx and not flip_dx
@@ -361,7 +468,9 @@ def conv_nd(x: Tensor, K: Tensor, stride: int = 1, temporal: bool = False) -> Te
       1.3-2x slower at batch 8).
 
     A temporal axis with k_t = 1 joins the batch first, so such a call is
-    exactly the per-frame convolution with K[0].
+    exactly the per-frame convolution with K[0].  The fold splits a batch
+    over one thread per usable CPU and from then on keeps numpy's OpenBLAS
+    at one thread; any worker count gives the same bits.
     """
     n = _check_conv(x.shape, K.shape, stride)
     xd, Kd, lead = x.data, K.data, x.shape[:1]

@@ -1,6 +1,8 @@
 import hashlib
 import json
 import os
+import signal
+import subprocess
 import sys
 import threading
 
@@ -285,6 +287,40 @@ class TestSweep:
         lines = (tmp_path / "sw" / "sweep.csv").read_text().splitlines()
         assert lines == [metrics.MetricsReport.csv_header()]
         assert (tmp_path / "sw" / "sweep.svg").read_text().startswith("<svg")
+
+    def test_parallel_jobs_after_the_fold_pool_ran(self, tmp_path):
+        # the forked sweep workers inherit a copy of the parent's fold pool,
+        # which has no threads.  A subprocess in its own session with a
+        # timeout, so a worker that waits on that copy fails this test
+        # instead of hanging the suite, and is killed with its parent
+        ds = _gen(tmp_path)
+        script = (
+            "import sys\n"
+            "import numpy as np\n"
+            "from volforce import cli, ops\n"
+            "from volforce.tensor import Tensor\n"
+            "ops._workers, ops.POOL_MIN_BYTES = (lambda: 2), 0\n"
+            "ops.conv_spatial(Tensor(np.ones((2, 8, 8, 8, 4), np.float32)),\n"
+            "                 Tensor(np.ones((3, 3, 3, 4, 4), np.float32)))\n"
+            "assert ops._POOL\n"
+            "sys.exit(cli.main(sys.argv[1:]))\n")
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.Popen(
+            [sys.executable, "-c", script, "sweep", "--dataset", str(ds),
+             "--arch", "resnet2d-s", "--rep", "2d-s", "--history", "2", "--horizon", "0,1",
+             "--epochs", "1", *TINY, "--out", str(tmp_path / "sw"), "--jobs", "2",
+             "--seed", "2"], env=env, stderr=subprocess.PIPE, text=True,
+            start_new_session=True)
+        try:
+            _, err = proc.communicate(timeout=60)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)  # the sweep and its forked workers
+            proc.communicate()
+            raise
+        assert proc.returncode == 0, err
+        assert len((tmp_path / "sw" / "sweep.csv").read_text().splitlines()) == 3
 
     def test_jobs_is_a_sweep_flag_only(self, capsys):
         assert cli._parser().parse_args(["sweep", "--jobs", "2"]).jobs == 2

@@ -1,5 +1,6 @@
 import contextlib
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import numpy.testing as npt
@@ -237,26 +238,31 @@ class TestConvPrimitive:
             T.backward(T.tsum(out))
             assert len(calls) == (x_grad and dx_by_forward)
 
-    def test_folded_buffers_are_per_sample_and_not_kept(self, rng):
+    def test_folded_buffers_are_per_sample_and_not_kept(self, rng, monkeypatch):
         x = Tensor(rng.normal(size=(8, 16, 16, 16, 4)).astype(np.float32), requires_grad=True)
         K = Tensor(rng.normal(size=(3, 3, 3, 4, 8)).astype(np.float32), requires_grad=True)
         padded = 8 * 16 * 18 * 18 * 4 * 4  # only the trailing axes are padded
         out_bytes = 8 * 16 ** 3 * 8 * 4
         batch_z = 8 * 16 ** 3 * 3 * 8 * 4  # Z of the whole batch, about 3.1 MB
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            out = ops.conv_spatial(x, K, 1)
-            held = tracemalloc.get_traced_memory()[0] - before
-            T.backward(T.tsum(out))
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            tracemalloc.stop()
-        # the graph holds the output and the padded input, no fold buffers
-        assert held < out_bytes + padded + (64 << 10)
-        # beyond the output, padded input, g and dx: less than half a batch Z
-        assert peak < 2 * out_bytes + padded + x.data.nbytes + batch_z // 2
-        assert K.grad is not None and x.grad is not None
+        # each worker holds its own per-sample buffers, so the peak grows with
+        # the worker count: pin it, as a host with more CPUs would run more
+        for workers in (1, 2):
+            monkeypatch.setattr(ops, "_workers", lambda n=workers: n)
+            x.grad = K.grad = None
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                out = ops.conv_spatial(x, K, 1)
+                held = tracemalloc.get_traced_memory()[0] - before
+                T.backward(T.tsum(out))
+                peak = tracemalloc.get_traced_memory()[1] - before
+            finally:
+                tracemalloc.stop()
+            # the graph holds the output and the padded input, no fold buffers
+            assert held < out_bytes + padded + (64 << 10)
+            # beyond the output, padded input, g and dx: less than half a batch Z
+            assert peak < 2 * out_bytes + padded + x.data.nbytes + batch_z // 2
+            assert K.grad is not None and x.grad is not None
 
     @pytest.mark.parametrize("stride", [0, -1])
     def test_stride_below_one_rejected(self, rng, stride):
@@ -357,6 +363,95 @@ class TestConv4d:
         K = Tensor(rng.normal(size=(3, 3, 3, 3, 1, 2)).astype(np.float32))
         out = ops.conv_st(x, K, stride=2)
         assert out.shape == (1, 5, 3, 3, 3, 2)
+
+
+@pytest.fixture
+def fold_workers(monkeypatch):
+    """Sets the fold's worker count, with no size cutoff, on a pool of its
+    own; the list it returns records each use of that pool."""
+    used = []
+
+    class Counted(ThreadPoolExecutor):
+        def map(self, *args):
+            used.append(args)
+            return super().map(*args)
+
+    pool = Counted(2)
+    monkeypatch.setattr(ops, "POOL_MIN_BYTES", 0)
+    monkeypatch.setattr(ops, "_POOL", {"threads": pool})
+
+    def set_workers(n):
+        monkeypatch.setattr(ops, "_workers", lambda: n)
+        return used
+
+    yield set_workers
+    pool.shutdown()
+
+
+def _fold_results(seed, case, dtype):
+    """Output, dx and dK of one fold case at batch 3 (ranges of 1 and 2
+    samples on two workers)."""
+    x_shape, K_shape, stride, temporal = TestConvPrimitive.FOLD_CASES[case]
+    rng = np.random.default_rng(seed)
+    with T.use_dtype(dtype):
+        x = Tensor(rng.normal(size=(3,) + x_shape[1:]), requires_grad=True)
+        K = Tensor(rng.normal(size=K_shape) * 0.4, requires_grad=True)
+        out = ops.conv_nd(x, K, stride, temporal)
+        T.backward(T.tsum(out * Tensor(rng.normal(size=out.shape))))
+    return out.data, x.grad, K.grad
+
+
+class TestFoldPool:
+    # flipped-kernel dx ("2d k0=3", "4d temporal"), scatter dx (the others,
+    # "3d temporal s2" strided); the TILE_CASES run dK over several tiles
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("case", ["2d k0=3", "4d temporal", "3d k0=2", "3d temporal s2",
+                                      "4d temporal k0=2 s2", "4d temporal 1^3"])
+    def test_one_and_two_workers_agree_bitwise(self, monkeypatch, fold_workers, dtype, case):
+        if case in TestConvPrimitive.TILE_CASES:
+            frame_bytes, frames = TestConvPrimitive.TILE_CASES[case]
+            tile = frame_bytes * frames * np.dtype(dtype).itemsize // 8
+            monkeypatch.setattr(ops, "GATHER_CHUNK_BYTES", tile)
+        results = {}
+        for workers in (1, 2):
+            used = fold_workers(workers)
+            results[workers] = _fold_results(7, case, dtype)
+        assert used  # the 2-worker run went to the pool
+        for one, two in zip(results[1], results[2]):
+            assert one.dtype == dtype
+            npt.assert_array_equal(one, two)
+
+    def test_kt1_identity_on_the_pool(self, rng, monkeypatch, fold_workers):
+        used = fold_workers(2)
+        TestConv4d().test_kt1_equals_per_timestep_3d_over_frame_tiles(rng, monkeypatch)
+        assert used
+
+    def test_no_openblas_setter_runs_inline_and_leaves_blas_alone(self, monkeypatch,
+                                                                   fold_workers):
+        fold_workers(2)
+        expected = _fold_results(3, "4d temporal", np.float32)
+        blas = ops._blas_threads()
+        before = blas[1]() if blas else None
+        monkeypatch.undo()
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("no pool without an OpenBLAS thread setter")
+
+        monkeypatch.setattr(ops, "POOL_MIN_BYTES", 0)
+        monkeypatch.setattr(ops, "_blas_threads", lambda: None)
+        monkeypatch.setattr(ops, "_POOL", {})
+        monkeypatch.setattr(ops, "ThreadPoolExecutor", forbidden)
+        try:
+            if blas:
+                blas[0](2)
+            assert ops._workers() == 1
+            for got, want in zip(_fold_results(3, "4d temporal", np.float32), expected):
+                npt.assert_array_equal(got, want)
+            if blas:
+                assert blas[1]() == 2
+        finally:
+            if blas:
+                blas[0](before)
 
 
 class TestFactorized:
