@@ -23,12 +23,11 @@ and odd kernels make the padding symmetric, and a scatter otherwise.  A
 temporal axis with k_t = 1 joins the batch, so that call is exactly the
 per-frame convolution.
 
-The fold's per-sample work runs on a pool of one thread per usable CPU,
-made on first use, which pins numpy's OpenBLAS to one thread for the rest
-of the process; with one CPU, another BLAS, one sample or a small one it
-runs inline.  Each sample is written by one worker and the dK partials add
-in sample order in the calling thread, so no result depends on the
-worker count.
+The fold's per-sample work runs inline or, when ``_over_samples`` allows,
+on one thread per usable CPU, which pins numpy's OpenBLAS to one thread for
+the rest of the process.  Each sample is written by one worker and the dK
+partials add in sample order in the calling thread, so no result depends
+on the worker count.
 
 ``conv_nd_reference`` is the slow, straight-line evaluation of the N-D
 convolution sum and is the correctness oracle for every faster path in
@@ -46,6 +45,7 @@ import ctypes
 import os
 from concurrent.futures import ThreadPoolExecutor
 from functools import lru_cache
+from glob import glob
 from itertools import product as iproduct
 from typing import Callable
 
@@ -131,24 +131,20 @@ POOL_MIN_BYTES = 64 << 10
 
 @lru_cache(maxsize=None)
 def _blas_threads():
-    """(set, get) for the thread count of the OpenBLAS that numpy loaded,
-    through ctypes; None when no OpenBLAS is mapped into the process (MKL,
-    Accelerate, another BLAS, or no /proc)."""
+    """(set, get) for the thread count of the OpenBLAS bundled with numpy's
+    wheel, through ctypes; None for any other BLAS (MKL, Accelerate, a
+    system BLAS), whose calls then all run inline."""
+    libs = glob(os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs",
+                             "libscipy_openblas64_*"))
     try:
-        with open("/proc/self/maps") as maps:
-            paths = {line.split(None, 5)[-1].strip() for line in maps if "openblas" in line}
-        libs = [ctypes.CDLL(p) for p in sorted(paths, key=lambda p: ("numpy" not in p, p))
-                if p.startswith("/")]
-    except OSError:
+        lib = ctypes.CDLL(libs[0])
+        setter = lib.scipy_openblas_set_num_threads64_
+        getter = lib.scipy_openblas_get_num_threads64_
+    except (IndexError, OSError, AttributeError):
         return None
-    for lib, prefix, suffix in iproduct(libs, ("scipy_openblas", "openblas"), ("64_", "")):
-        setter, getter = (getattr(lib, f"{prefix}_{op}_num_threads{suffix}", None)
-                          for op in ("set", "get"))
-        if setter and getter:
-            setter.argtypes, setter.restype = [ctypes.c_int], None
-            getter.argtypes, getter.restype = [], ctypes.c_int
-            return setter, getter
-    return None
+    setter.argtypes, setter.restype = [ctypes.c_int], None
+    getter.argtypes, getter.restype = [], ctypes.c_int
+    return setter, getter
 
 
 def _workers() -> int:
@@ -162,23 +158,28 @@ if hasattr(os, "register_at_fork"):  # a forked child's copy of the pool has no 
     os.register_at_fork(after_in_child=_POOL.clear)
 
 
-def _over_samples(batch: int, z_bytes: int, scratch, run) -> None:
+def _over_samples(batch: int, z_bytes: int, out_bytes: int, scratch, run) -> None:
     """Call ``run(samples, scratch())`` over the batch: inline, or on the pool
-    with one contiguous range of samples per worker.  Every scratch set is
-    made here, in the calling thread: a worker's own allocations come from
-    its own glibc arena, which measured a higher peak RSS.  Making the pool
+    with one contiguous range of samples per usable CPU when every CPU gets
+    a worker, a sample's Z is at least ``POOL_MIN_BYTES`` and the workers'
+    sets fit in two sets (train-resnet4d's peak RSS +0.5% on 2 CPUs) or in
+    the call's output.  ``scratch()`` returns (its buffers, views into
+    them); every set is made here: a worker's own allocations come from its
+    own glibc arena, which measured a higher peak RSS.  Making the pool
     pins numpy's OpenBLAS to one thread for the rest of the process: after
     a 2-thread GEMM its helper thread spins and competes with the workers."""
-    workers = min(batch, _workers()) if z_bytes >= POOL_MIN_BYTES else 1
-    ranges = [range(w * batch // workers, (w + 1) * batch // workers) for w in range(workers)]
-    sets = [scratch() for _ in ranges]
-    if workers == 1:
-        return run(ranges[0], sets[0])
+    cpus, first = _workers(), scratch()
+    set_bytes = sum(a.nbytes for a in first[0])
+    if not (1 < cpus <= batch and z_bytes >= POOL_MIN_BYTES
+            and cpus * set_bytes <= max(2 * set_bytes, out_bytes)):
+        return run(range(batch), first)
+    ranges = [range(w * batch // cpus, (w + 1) * batch // cpus) for w in range(cpus)]
+    sets = [first] + [scratch() for _ in ranges[1:]]
     if not _POOL:
         blas = _blas_threads()
-        if blas:
+        if blas:  # None only where a test sets the worker count
             blas[0](1)
-        _POOL["threads"] = ThreadPoolExecutor(_workers())
+        _POOL["threads"] = ThreadPoolExecutor(cpus)
     list(_POOL["threads"].map(run, ranges, sets))
 
 
@@ -336,19 +337,21 @@ def _conv_folded(xd, Kd, strides, geom):
         return [(f0, min(f0 + t, e0)) for f0 in range(0, e0, t)]
 
     def forward_scratch():
-        """A worker's padded sample and Z, and per tile of frames: its rows of
-        Z, the window and product buffers, and every live offset's window."""
+        """A worker's padded sample, Z, window and product buffers, and per
+        tile of frames: its rows of Z, of those buffers, and every live
+        offset's window."""
         xp, xw = padded_sample(cin)
         Z = np.empty((rows, k0 * cout), dtype=xd.dtype)
         buf = np.empty((ftile * frame, kl * cin), dtype=xd.dtype)
         prod = np.empty((ftile * frame, k0 * cout), dtype=xd.dtype)
-        return xp, Z, [(Z[f0 * frame:f1 * frame], buf[:(f1 - f0) * frame],
-                        buf[:(f1 - f0) * frame].reshape((f1 - f0,) + out_trail + (kl, cin)),
-                        prod[:(f1 - f0) * frame], [xw[f0:f1][index[j]] for j in live])
-                       for f0, f1 in frame_tiles(ftile)]
+        return (xp, Z, buf, prod), [
+            (Z[f0 * frame:f1 * frame], buf[:(f1 - f0) * frame],
+             buf[:(f1 - f0) * frame].reshape((f1 - f0,) + out_trail + (kl, cin)),
+             prod[:(f1 - f0) * frame], [xw[f0:f1][index[j]] for j in live])
+            for f0, f1 in frame_tiles(ftile)]
 
     def forward(samples, scratch):
-        xp, Z, tiled = scratch
+        (xp, Z, _, _), tiled = scratch
         Z3 = Z.reshape(e0, frame, k0, cout)
         for b in samples:
             xp[inner] = xd[b]
@@ -368,7 +371,7 @@ def _conv_folded(xd, Kd, strides, geom):
     # the output before the per-sample buffers: with glibc's heap this order
     # measured a lower peak RSS in batch-64 inference
     out = np.empty((batch, e0, frame, cout), dtype=xd.dtype)
-    _over_samples(batch, z_bytes, forward_scratch, forward)
+    _over_samples(batch, z_bytes, out.nbytes, forward_scratch, forward)
     flip_dx = all(s == 1 for s in strides) and all(k % 2 for k in Kd.shape[:-2])
 
     def dz_pass(g, need_dK, scatter):
@@ -381,7 +384,8 @@ def _conv_folded(xd, Kd, strides, geom):
 
         def scratch():
             """A worker's buffers, and per dK tile of frames: its wide rows, its
-            rows of dZ, and (wide window, sample window) per live offset."""
+            rows of dZ, and (wide window, sample window) per live offset; with
+            the scatter, a padded dx sample, its windows and a product buffer."""
             # the dK tile before the per-sample buffers: with glibc's heap
             # this order measured a lower peak RSS in resnet4d training
             wide = np.empty((tile * frame, width), dtype=xd.dtype)
@@ -391,12 +395,15 @@ def _conv_folded(xd, Kd, strides, geom):
             tiled = [(wide[:(f1 - f0) * frame], dZ[f0 * frame:f1 * frame],
                       [(wide_nd[:f1 - f0, ..., i, :, :], xw[f0:f1][index[j]])
                        for i, j in enumerate(live)]) for f0, f1 in frame_tiles(tile)]
-            return (xp, dZ, tiled, np.empty((width, k0 * cout), dtype=xd.dtype),
-                    (padded_sample(cin, writeable=True),
-                     np.empty((rows, kl * cin), dtype=xd.dtype)) if scatter else None)
+            prod = np.empty((width, k0 * cout), dtype=xd.dtype)
+            if not scatter:
+                return (wide, xp, dZ, prod), (tiled, None)
+            dxp, dxw = padded_sample(cin, writeable=True)
+            buf = np.empty((rows, kl * cin), dtype=xd.dtype)
+            return (wide, xp, dZ, prod, dxp, buf), (tiled, dxw)
 
         def run(samples, scratch):
-            xp, dZ, tiled, prod, scatter_bufs = scratch
+            (_, xp, dZ, prod, *scatter_bufs), (tiled, dxw) = scratch
             dZ3 = dZ.reshape(e0, frame, k0, cout)
             for b in samples:
                 for k, a0, a1 in taps:
@@ -410,7 +417,7 @@ def _conv_folded(xd, Kd, strides, geom):
                         if t:
                             parts[b] += prod
                 if scatter:
-                    (dxp, dxw), buf = scatter_bufs
+                    dxp, buf = scatter_bufs
                     buf_nd = buf.reshape((e0,) + out_trail + (kl, cin))
                     dxp.fill(0)
                     for j in live:
@@ -420,7 +427,7 @@ def _conv_folded(xd, Kd, strides, geom):
                             target[..., t, :] += buf_nd[..., t, :]
                     dx[b] = dxp[inner]
 
-        _over_samples(batch, z_bytes, scratch, run)
+        _over_samples(batch, z_bytes, g.nbytes, scratch, run)
         dKf = None
         if need_dK:
             dKw = np.zeros((width, k0 * cout), dtype=xd.dtype)
@@ -469,8 +476,9 @@ def conv_nd(x: Tensor, K: Tensor, stride: int = 1, temporal: bool = False) -> Te
 
     A temporal axis with k_t = 1 joins the batch first, so such a call is
     exactly the per-frame convolution with K[0].  The fold splits a batch
-    over one thread per usable CPU and from then on keeps numpy's OpenBLAS
-    at one thread; any worker count gives the same bits.
+    of at least one sample per usable CPU over one thread per CPU and from
+    then on keeps numpy's OpenBLAS at one thread; any worker count gives
+    the same bits.
     """
     n = _check_conv(x.shape, K.shape, stride)
     xd, Kd, lead = x.data, K.data, x.shape[:1]

@@ -1,4 +1,5 @@
 import contextlib
+import os
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
@@ -194,16 +195,30 @@ class TestConvPrimitive:
     TILE_CASES = {"3d k0=2": (15 * 12 * 8, 3), "4d temporal": (60 * 54 * 8, 2),
                   "3d temporal s2": (6 * 18 * 8, 2), "4d temporal 1^3": (1 * 9 * 8, 3)}
 
+    @classmethod
+    def several_frame_tiles(cls, monkeypatch, case, itemsize):
+        """Tile budgets that split each sample of a TILE_CASES call into that
+        case's frames per tile, for dK and for the forward, whose frame is
+        its output positions by max(k_l·c_in, k0·c_out) (the same with c_in
+        and c_out swapped in both flipped-kernel dx cases)."""
+        frame_bytes, frames = cls.TILE_CASES[case]
+        x_shape, K_shape, stride, _ = cls.FOLD_CASES[case]
+        assert frames < x_shape[1] and x_shape[1] % frames
+        monkeypatch.setattr(ops, "GATHER_CHUNK_BYTES", frame_bytes * frames * itemsize // 8)
+        positions = int(np.prod([-(-e // stride) for e in x_shape[2:-1]]))
+        width = max(K_shape[-3] * K_shape[-2], K_shape[0] * K_shape[-1])
+        monkeypatch.setattr(ops, "FRAME_TILE_BYTES", positions * width * itemsize * frames)
+
     @pytest.mark.parametrize("case", list(TILE_CASES))
     def test_fold_dK_over_several_frame_tiles(self, rng, monkeypatch, case):
-        frame_bytes, frames = self.TILE_CASES[case]
-        monkeypatch.setattr(ops, "GATHER_CHUNK_BYTES", frame_bytes * frames)
+        self.several_frame_tiles(monkeypatch, case, 8)
         x_shape, K_shape, stride, temporal = self.FOLD_CASES[case]
-        assert frames < x_shape[1] and x_shape[1] % frames
         with T.use_dtype(np.float64):
             x = Tensor(rng.normal(size=x_shape), requires_grad=True)
             K = Tensor(rng.normal(size=K_shape) * 0.4, requires_grad=True)
             out = ops.conv_nd(x, K, stride, temporal)
+            assert rel_err(out.data, ops.conv_nd_reference(x.data, K.data, stride,
+                                                           temporal)) <= 1e-12
             g = rng.normal(size=out.shape)
             T.backward(T.tsum(out * Tensor(g)))
             forward = np.vdot(out.data, g)
@@ -238,16 +253,18 @@ class TestConvPrimitive:
             T.backward(T.tsum(out))
             assert len(calls) == (x_grad and dx_by_forward)
 
-    def test_folded_buffers_are_per_sample_and_not_kept(self, rng, monkeypatch):
+    def test_folded_buffers_are_per_sample_and_not_kept(self, rng, fold_workers):
         x = Tensor(rng.normal(size=(8, 16, 16, 16, 4)).astype(np.float32), requires_grad=True)
         K = Tensor(rng.normal(size=(3, 3, 3, 4, 8)).astype(np.float32), requires_grad=True)
         padded = 8 * 16 * 18 * 18 * 4 * 4  # only the trailing axes are padded
         out_bytes = 8 * 16 ** 3 * 8 * 4
         batch_z = 8 * 16 ** 3 * 3 * 8 * 4  # Z of the whole batch, about 3.1 MB
-        # each worker holds its own per-sample buffers, so the peak grows with
-        # the worker count: pin it, as a host with more CPUs would run more
-        for workers in (1, 2):
-            monkeypatch.setattr(ops, "_workers", lambda n=workers: n)
+        # each worker holds its own per-sample buffers: the bound holds on
+        # this host's CPUs, on two and on eight.  Three or more sets exceed
+        # both two sets and the output, so only two workers take the pool
+        for workers in sorted({1, 2, len(os.sched_getaffinity(0)), 8}):
+            used = fold_workers(workers)
+            pooled_before = len(used)
             x.grad = K.grad = None
             tracemalloc.start()
             try:
@@ -263,6 +280,7 @@ class TestConvPrimitive:
             # beyond the output, padded input, g and dx: less than half a batch Z
             assert peak < 2 * out_bytes + padded + x.data.nbytes + batch_z // 2
             assert K.grad is not None and x.grad is not None
+            assert (len(used) > pooled_before) == (workers == 2)
 
     @pytest.mark.parametrize("stride", [0, -1])
     def test_stride_below_one_rejected(self, rng, stride):
@@ -368,12 +386,12 @@ class TestConv4d:
 @pytest.fixture
 def fold_workers(monkeypatch):
     """Sets the fold's worker count, with no size cutoff, on a pool of its
-    own; the list it returns records each use of that pool."""
+    own; the list it returns records the sample ranges of each use."""
     used = []
 
     class Counted(ThreadPoolExecutor):
         def map(self, *args):
-            used.append(args)
+            used.append(args[1])  # the ranges: keeping the scratch sets would hold them
             return super().map(*args)
 
     pool = Counted(2)
@@ -409,9 +427,7 @@ class TestFoldPool:
                                       "4d temporal k0=2 s2", "4d temporal 1^3"])
     def test_one_and_two_workers_agree_bitwise(self, monkeypatch, fold_workers, dtype, case):
         if case in TestConvPrimitive.TILE_CASES:
-            frame_bytes, frames = TestConvPrimitive.TILE_CASES[case]
-            tile = frame_bytes * frames * np.dtype(dtype).itemsize // 8
-            monkeypatch.setattr(ops, "GATHER_CHUNK_BYTES", tile)
+            TestConvPrimitive.several_frame_tiles(monkeypatch, case, np.dtype(dtype).itemsize)
         results = {}
         for workers in (1, 2):
             used = fold_workers(workers)
@@ -420,6 +436,28 @@ class TestFoldPool:
         for one, two in zip(results[1], results[2]):
             assert one.dtype == dtype
             npt.assert_array_equal(one, two)
+
+    def test_pool_only_when_every_cpu_gets_a_worker_within_the_scratch_bound(
+            self, fold_workers):
+        ran = []
+
+        def scratch():  # a set of 1,000 bytes
+            return (np.empty(1000, np.uint8),), None
+
+        def run(samples, scratch):
+            ran.append(list(samples))
+
+        used = fold_workers(3)
+        # (batch, output bytes): fewer samples than CPUs; three sets above
+        # both two sets and the output; three sets within the output
+        for batch, out_bytes in [(2, 10 ** 6), (6, 2999), (7, 3000)]:
+            del ran[:]
+            ops._over_samples(batch, 1, out_bytes, scratch, run)
+            pooled = len(ran) > 1
+            assert sorted(ran) == ([[0, 1], [2, 3], [4, 5, 6]] if pooled
+                                   else [list(range(batch))])
+            assert pooled == ((batch, out_bytes) == (7, 3000))
+        assert len(used) == 1
 
     def test_kt1_identity_on_the_pool(self, rng, monkeypatch, fold_workers):
         used = fold_workers(2)
