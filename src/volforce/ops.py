@@ -162,7 +162,7 @@ def _over_samples(batch: int, z_bytes: int, out_bytes: int, scratch, run) -> Non
     """Call ``run(samples, scratch())`` over the batch: inline, or on the pool
     with one contiguous range of samples per usable CPU when every CPU gets
     a worker, a sample's Z is at least ``POOL_MIN_BYTES`` and the workers'
-    sets fit in two sets (train-resnet4d's peak RSS +0.5% on 2 CPUs) or in
+    sets fit in two sets (train-resnet4d's peak RSS +1.1% on 2 CPUs) or in
     the call's output.  ``scratch()`` returns (its buffers, views into
     them); every set is made here: a worker's own allocations come from its
     own glibc arena, which measured a higher peak RSS.  Making the pool
