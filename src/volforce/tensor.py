@@ -319,11 +319,16 @@ def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
 # -- reverse pass --------------------------------------------------------------
 
 
-def _accumulate(t: Tensor, g: np.ndarray) -> None:
+def _accumulate(t: Tensor, g: np.ndarray, owned: bool = False) -> None:
+    """Add ``g`` into ``t.grad``.  ``owned``: g is a fresh buffer that its
+    producer hands over and no one else reads, so a first contribution
+    keeps it without a copy.  A backward hands a buffer to at most one
+    parent; ``add``, ``sub`` and ``_unbroadcast`` pass one to two, so they copy."""
+    g = np.asarray(g, dtype=t.data.dtype).reshape(t.shape)
     if t.grad is None:
-        t.grad = np.asarray(g, dtype=t.data.dtype).reshape(t.shape).copy()
+        t.grad = g if owned else g.copy()
     else:
-        t.grad += np.asarray(g, dtype=t.data.dtype).reshape(t.shape)
+        t.grad += g
 
 
 def _toposort(root: Tensor) -> list[Tensor]:

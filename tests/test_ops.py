@@ -1,4 +1,5 @@
 import contextlib
+import math
 import os
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
@@ -491,6 +492,18 @@ class TestFoldPool:
             if blas:
                 blas[0](before)
 
+    def test_workers_without_sched_getaffinity(self, monkeypatch, fold_workers):
+        # Windows has no os.sched_getaffinity, while numpy's wheel still
+        # bundles the OpenBLAS whose thread count the pool pins
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(ops, "_blas_threads", lambda: (lambda n: None, lambda: 1))
+        workers = ops._workers()
+        assert isinstance(workers, int) and workers >= 1
+        x = np.random.default_rng(4).normal(size=(4, 6, 6, 6, 3)).astype(np.float32)
+        K = np.random.default_rng(5).normal(size=(3, 3, 3, 3, 2)).astype(np.float32)
+        fast = ops.conv_spatial(Tensor(x), Tensor(K)).data
+        assert rel_err(fast, ops.conv_nd_reference(x, K)) <= 1e-5
+
 
 class TestFactorized:
     def _identity_spatial(self, c):
@@ -686,6 +699,158 @@ class TestBatchNorm:
         drifted = Tensor(np.full((8, 1), 0.51, dtype=np.float32))
         out = bn(drifted, training=False).data
         assert np.abs(out).max() <= 0.01 / np.sqrt(bn.eps) + 1e-6
+
+    @staticmethod
+    def _lane_sums(a: np.ndarray, m: int) -> np.ndarray:
+        """Per-channel sums of ``a`` [..., c] in the documented lane order,
+        written as loops: n rows of c channels read as n/m rows of m*c
+        columns; each column adds its rows in row order, then each channel
+        adds its m lane sums in lane order."""
+        c = a.shape[-1]
+        rows = a.reshape(-1, m * c)
+        columns = rows[0].copy()
+        for row in rows[1:]:
+            columns += row
+        total = columns[:c].copy()
+        for lane in range(1, m):
+            total += columns[lane * c:(lane + 1) * c]
+        return total
+
+    def test_wide_rows_sum_in_lane_order(self, rng):
+        # n = 32768 rows of 12 channels: m = 64 (the largest divisor of n
+        # with m * 12 <= 1024), so 512 rows of 768 columns
+        shape, c = (8, 16, 16, 16, 12), 12
+        n = int(np.prod(shape[:-1]))
+        m = max(d for d in range(1, ops.NORM_ROW // c + 1) if n % d == 0)
+        assert (m, n // m) == (64, 512)
+        bn = ops.BatchNorm(c, momentum=0.3)
+        bn.gamma.data[:] = rng.normal(size=c)
+        bn.beta.data[:] = rng.normal(size=c)
+        gamma, beta = bn.gamma.data, bn.beta.data
+        x = (rng.normal(size=shape) * 2.0 + 5.0).astype(np.float32)
+        xt = Tensor(x, requires_grad=True)
+        out = bn(xt, training=True, relu=True)
+        inv_n = np.asarray(1.0 / n, np.float32)
+        mu = self._lane_sums(x, m) * inv_n
+        dev = x - mu
+        var = self._lane_sums(dev * dev, m) * inv_n
+        x_hat = dev / np.sqrt(var + np.asarray(bn.eps, np.float32))
+        npt.assert_array_equal(out.data, np.maximum(x_hat * gamma + beta, 0))
+        running_mean, running_var = np.zeros(c), np.ones(c)
+        running_mean += 0.3 * (mu - running_mean)
+        running_var += 0.3 * (var - running_var)
+        npt.assert_array_equal(bn.running_mean, running_mean)
+        npt.assert_array_equal(bn.running_var, running_var)
+        g = rng.normal(size=shape).astype(np.float32)
+        T.backward(T.tsum(out * Tensor(g)))
+        g *= out.data > 0
+        npt.assert_array_equal(bn.beta.grad, self._lane_sums(g, m))
+        npt.assert_array_equal(bn.gamma.grad, self._lane_sums(g * x_hat, m))
+
+    # prime n (m = 1); c wider than a row (m = 1); the recurrent zero-state
+    # shape (m = n); and a wide shape with m = 192, n/m = 6
+    @pytest.mark.parametrize("shape", [(1031, 3), (3, 4, 1100), (8, 1, 1, 1, 12),
+                                       (4, 6, 6, 8, 5)])
+    def test_channel_sums_match_fsum_in_float64(self, rng, shape):
+        with T.use_dtype(np.float64):
+            c = shape[-1]
+            bn = ops.BatchNorm(c, momentum=1.0)
+            x = Tensor(rng.normal(size=shape) * 2.0 + 5.0)
+            out = bn(x, training=True)
+            rows = x.data.reshape(-1, c)
+            n = rows.shape[0]
+            mean = np.array([math.fsum(col) for col in rows.T]) / n
+            var = np.array([math.fsum(col) for col in ((rows - mean) ** 2).T]) / n
+            npt.assert_allclose(bn.running_mean, mean, rtol=1e-12, atol=0)
+            npt.assert_allclose(bn.running_var, var, rtol=1e-12, atol=0)
+            g = rng.normal(size=shape)
+            T.backward(T.tsum(out * Tensor(g)))
+            flat = g.reshape(-1, c)
+            npt.assert_allclose(bn.beta.grad, [math.fsum(col) for col in flat.T],
+                                rtol=1e-12, atol=1e-12)
+            prod = flat * out.data.reshape(-1, c)
+            npt.assert_allclose(bn.gamma.grad, [math.fsum(col) for col in prod.T],
+                                rtol=1e-12, atol=1e-12)
+
+    def test_float32_mean_no_worse_than_one_row_at_a_time(self, rng):
+        x = (rng.normal(size=(8, 16, 16, 16, 12)) * 2.0 + 5.0).astype(np.float32)
+        rows = x.reshape(-1, 12)
+        exact = np.array([math.fsum(col) for col in rows.astype(np.float64).T]) / len(rows)
+        # the order before wide rows: one channel row after another
+        narrow = rows.sum(axis=0) * np.asarray(1.0 / len(rows), np.float32)
+        bn = ops.BatchNorm(12, momentum=1.0)
+        bn(Tensor(x), training=True)
+        wide_err = np.max(np.abs(bn.running_mean - exact) / exact)
+        assert wide_err <= np.max(np.abs(narrow - exact) / exact)
+        assert wide_err < 1e-6
+
+    @pytest.mark.parametrize("relu", [False, True])
+    def test_gradient_at_a_wide_shape(self, rng, relu):
+        with T.use_dtype(np.float64):
+            bn = ops.BatchNorm(5)
+            bn.gamma.data[:] = rng.normal(size=5)
+            bn.beta.data[:] = rng.normal(size=5)
+            x = Tensor(rng.normal(size=(4, 6, 6, 8, 5)), requires_grad=True)
+            w = Tensor(rng.normal(size=x.shape))
+            assert ops._lanes(4 * 6 * 6 * 8, 5) == 192
+
+            def f():
+                return T.tsum(bn(x, training=True, relu=relu) * w)
+
+            err = T.finite_diff_check(f, [x, bn.gamma, bn.beta], eps=1e-4, max_elements=40)
+            assert err < 1e-4
+
+    def test_sums_do_not_depend_on_blas_threads(self, rng):
+        # no BLAS call and no thread: the same bits with numpy's OpenBLAS
+        # at one thread (as after the fold pool pinned it) and at two
+        blas = ops._blas_threads()
+        if blas is None:
+            pytest.skip("numpy's bundled OpenBLAS is not loaded")
+        before = blas[1]()
+        x = (rng.normal(size=(8, 16, 16, 16, 12)) * 2.0 + 5.0).astype(np.float32)
+        g = rng.normal(size=x.shape).astype(np.float32)
+        results = []
+        try:
+            for threads in (1, 2):
+                blas[0](threads)
+                bn = ops.BatchNorm(12)
+                xt = Tensor(x, requires_grad=True)
+                out = bn(xt, training=True)
+                T.backward(T.tsum(out * Tensor(g)))
+                results.append((out.data, bn.running_mean, bn.running_var, xt.grad,
+                                bn.gamma.grad, bn.beta.grad))
+        finally:
+            blas[0](before)
+        for a, b in zip(*results):
+            npt.assert_array_equal(a, b)
+
+    def test_dx_takes_the_gradient_buffer_without_a_copy(self, rng):
+        bn = ops.BatchNorm(4)
+        x = Tensor(rng.normal(size=(8, 6, 4)).astype(np.float32), requires_grad=True)
+        out = bn(x, training=True, relu=True)
+        g = rng.normal(size=x.shape).astype(np.float32)
+        out._backward(g)
+        assert np.shares_memory(x.grad, g)
+
+    def test_handed_over_dx_is_bitwise_the_copied_one(self, rng, monkeypatch):
+        # x feeds the norm and a product, so one of the two contributions
+        # adds into the other's buffer
+        x0 = rng.normal(size=(8, 6, 4)).astype(np.float32)
+        w, v = rng.normal(size=(2,) + x0.shape).astype(np.float32)
+
+        def grads():
+            bn = ops.BatchNorm(4)
+            x = Tensor(x0.copy(), requires_grad=True)
+            loss = T.add(T.tsum(bn(x, training=True, relu=True) * Tensor(w)),
+                         T.tsum(x * Tensor(v)))
+            T.backward(loss)
+            return x.grad, bn.gamma.grad, bn.beta.grad
+
+        owned = grads()
+        accumulate = T._accumulate
+        monkeypatch.setattr(T, "_accumulate", lambda t, g, owned=False: accumulate(t, g))
+        for a, b in zip(owned, grads()):
+            npt.assert_array_equal(a, b)
 
 
 class TestResidualBlock:

@@ -141,6 +141,24 @@ class TestBackward:
         npt.assert_array_equal(a.grad, np.broadcast_to(np.arange(1.0, 13.0), a.shape))
         assert peak < 1.5 * a.data.nbytes  # the gradient itself plus the slices' own
 
+    def test_owned_first_gradient_is_kept_and_later_ones_add_into_it(self):
+        t = Tensor(np.zeros((2, 3), np.float32), requires_grad=True)
+        buf = np.ones(6, np.float32)
+        T._accumulate(t, buf, owned=True)
+        assert t.grad.shape == (2, 3) and np.shares_memory(t.grad, buf)
+        other = np.full((2, 3), 2.0, np.float32)
+        T._accumulate(t, other, owned=True)
+        assert np.shares_memory(t.grad, buf) and not np.shares_memory(t.grad, other)
+        npt.assert_array_equal(t.grad, 3.0)
+        npt.assert_array_equal(other, 2.0)
+
+    def test_unowned_first_gradient_is_copied(self):
+        t = Tensor(np.zeros(3, np.float32), requires_grad=True)
+        g = np.ones(3, np.float32)
+        T._accumulate(t, g)
+        assert not np.shares_memory(t.grad, g)
+
+
 class TestFiniteDiffCheck:
     def test_quadratic(self):
         with T.use_dtype(np.float64):
