@@ -342,6 +342,8 @@ def cmd_sweep(settings) -> int:
     fs = _int_list(settings["horizon"])
     cells = [(p, f) for p in ps for f in fs]
     jobs = settings["jobs"]
+    if jobs < 1:
+        raise ValueError(f"--jobs must be at least 1, got {jobs}")
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:

@@ -8,20 +8,18 @@ symmetric (non-causal) SAME padding.
 
 ``conv_nd`` is the one fast convolution (an autodiff primitive);
 ``conv_spatial``, ``conv_st`` and ``factorized_conv`` are calls of it.
-It has three array paths, chosen by shape: gathered columns for a
-1-channel input (a per-offset GEMM would have an inner dimension of 1);
-a fold, run per sample, when the first axis has stride 1; and one GEMM
-per offset over the batch when it is strided (folding would compute
-every unstrided position).  The fold moves the first axis's taps into
-the GEMM's output columns (a one-axis kn2row) and the last axis's taps
-into its inner dimension (a one-axis im2col, free because with channels
-last they are one contiguous run): 9 GEMMs rather than 81 for 4D, on
-buffers that stay in cache.  Its dK puts every middle offset's window side
-by side in a tile of whole frames, one wide GEMM per tile.  Its dx is the
-same fold run on the output gradient with the kernel flipped when stride 1
-and odd kernels make the padding symmetric, and a scatter otherwise.  A
-temporal axis with k_t = 1 joins the batch, so that call is exactly the
-per-frame convolution.
+It has two array paths, chosen by the first axis's stride alone: a fold,
+run per sample, when it is 1, and one GEMM per offset over the batch when
+it is strided (folding would compute every unstrided position).  The fold
+moves the first axis's taps into the GEMM's output columns (a one-axis
+kn2row) and the last axis's taps into its inner dimension (a one-axis
+im2col, free because with channels last they are one contiguous run): 9
+GEMMs rather than 81 for 4D, on buffers that stay in cache.  Its dK puts
+every middle offset's window side by side in a tile of whole frames, one
+wide GEMM per tile.  Its dx is the same fold run on the output gradient
+with the kernel flipped when stride 1 and odd kernels make the padding
+symmetric, and a scatter otherwise.  A temporal axis with k_t = 1 joins
+the batch, so that call is exactly the per-frame convolution.
 
 The fold's per-sample work runs inline or, when ``_over_samples`` allows,
 on one thread per usable CPU, which pins numpy's OpenBLAS to one thread for
@@ -120,8 +118,7 @@ def conv_nd_reference(x, K, stride: int = 1, temporal: bool = False) -> np.ndarr
 
 # -- fast convolution (one autodiff primitive) -------------------------------------
 
-# Bound on one chunk of gathered columns (a chunk holds at least one sample)
-# and on one tile of the fold's dK windows (a tile holds at least one frame).
+# Bound on one tile of the fold's dK windows (a tile holds at least one frame).
 GATHER_CHUNK_BYTES = 8 << 20
 # Bound on the fold's forward window and product tiles (whole frames, at
 # least one).  With whole-sample buffers per worker, train-resnet4d's peak
@@ -214,28 +211,15 @@ def _pad(xd: np.ndarray, pads) -> tuple[np.ndarray, tuple[slice, ...]]:
 
 
 def _conv_offsets(xd, Kd, strides, geom):
-    """All axes padded; every kernel offset reads a strided window of the
-    padded input.  A 1-channel input gathers the windows of a batch chunk
-    of at most ``GATHER_CHUNK_BYTES`` into one column matrix and runs one
-    GEMM per chunk; a wider input runs one GEMM per offset over the whole
-    batch through one reused window buffer (shift-and-matmul).  dK
-    rebuilds the columns or windows."""
+    """Strided first axis: all axes padded, and every kernel offset reads a
+    strided window of the padded input into one reused buffer and runs one
+    GEMM over the whole batch (shift-and-matmul).  dK rebuilds the windows."""
     batch, cin, cout = xd.shape[0], xd.shape[-1], Kd.shape[-1]
     out_extents = tuple(g[0] for g in geom)
     xp, inner = _pad(xd, ((0, 0),) + tuple(g[1:] for g in geom) + ((0, 0),))
     offset_index = _window_index(Kd.shape[:-2], out_extents, strides)
     K3d = Kd.reshape(len(offset_index), cin, cout)
-    per_sample = int(np.prod(out_extents))
-    rows = batch * per_sample
-    chunk = max(1, GATHER_CHUNK_BYTES // (len(offset_index) * per_sample * xd.itemsize))
-    chunks = [(b0, min(b0 + chunk, batch)) for b0 in range(0, batch, chunk)]
-
-    def columns(b0, b1):
-        """[offset, row] windows of samples b0:b1 (1-channel input)."""
-        cols = np.empty((len(offset_index), (b1 - b0) * per_sample), dtype=xd.dtype)
-        for oi, index in enumerate(offset_index):
-            cols[oi] = xp[b0:b1][index].reshape(-1)
-        return cols
+    rows = batch * int(np.prod(out_extents))
 
     def windows():
         """(offset index, [rows, c_in] window) pairs, copied into one reused buffer."""
@@ -245,25 +229,17 @@ def _conv_offsets(xd, Kd, strides, geom):
             yield oi, buf.reshape(rows, cin)
 
     out2d = np.zeros((rows, cout), dtype=xd.dtype)
-    if cin == 1:
-        for b0, b1 in chunks:
-            out2d[b0 * per_sample:b1 * per_sample] = columns(b0, b1).T @ K3d[:, 0]
-    else:
-        prod = np.empty_like(out2d)
-        for oi, view in windows():
-            out2d += np.matmul(view, K3d[oi], out=prod)
+    prod = np.empty_like(out2d)
+    for oi, view in windows():
+        out2d += np.matmul(view, K3d[oi], out=prod)
 
     def grads(g, need_dx, need_dK):
         g2d = g.reshape(rows, cout)
         dx = dK = None
         if need_dK:
             dK = np.zeros_like(K3d)
-            if cin == 1:
-                for b0, b1 in chunks:
-                    dK[:, 0] += columns(b0, b1) @ g2d[b0 * per_sample:b1 * per_sample]
-            else:
-                for oi, view in windows():
-                    np.matmul(view.T, g2d, out=dK[oi])
+            for oi, view in windows():
+                np.matmul(view.T, g2d, out=dK[oi])
         if need_dx:
             dxp = np.zeros_like(xp)
             for oi, index in enumerate(offset_index):
@@ -275,8 +251,8 @@ def _conv_offsets(xd, Kd, strides, geom):
 
 
 def _conv_folded(xd, Kd, strides, geom):
-    """Multi-channel input, first axis at stride 1: a one-axis kn2row on the
-    first axis and a one-axis im2col on the last, one sample at a time.
+    """First axis at stride 1, any c_in: a one-axis kn2row on the first axis
+    and a one-axis im2col on the last, one sample at a time.
 
     The first axis's k0 taps fold into the GEMM's output columns.  With
     channels last, the k_l taps × c_in of one output position along the
@@ -467,20 +443,18 @@ def conv_nd(x: Tensor, K: Tensor, stride: int = 1, temporal: bool = False) -> Te
     x: [b, *axes, c_in], K: [*kernel, c_in, c_out]; with ``temporal`` the
     first convolved axis is time and keeps stride 1.  One graph node per
     call; the backward keeps only the input (padded on the per-offset
-    paths; the fold pads one sample at a time).  Three array paths:
+    path; the fold pads one sample at a time).  Two array paths:
 
-    - c_in = 1: windows gathered into columns, one GEMM per batch chunk,
-      because a 1-channel GEMM per offset would have an inner dimension of 1;
-    - c_in > 1, first axis at stride 1: that axis's taps fold into the
+    - first axis at stride 1, any c_in: that axis's taps fold into the
       GEMM's output columns and the last axis's taps into its inner
       dimension, one sample at a time (one GEMM per middle offset: 9
       rather than 81 for 4D), so the buffers stay in cache.  dK is one
-      wide GEMM per tile of whole frames over all middle offsets.  dx is the
-      same fold of g with the flipped kernel when stride 1 and odd
+      wide GEMM per tile of whole frames over all middle offsets.  dx is
+      the same fold of g with the flipped kernel when stride 1 and odd
       kernels make the padding symmetric (GEMMs of the forward's shape,
       no scatter); strided or even kernels scatter dx;
-    - c_in > 1, strided first axis: one GEMM per offset over the batch,
-      since folding would compute Z at every unstrided position (measured
+    - strided first axis: one GEMM per offset over the batch, since
+      folding would compute Z at every unstrided position (measured
       1.3-2x slower at batch 8).
 
     A temporal axis with k_t = 1 joins the batch first, so such a call is
@@ -496,7 +470,7 @@ def conv_nd(x: Tensor, K: Tensor, stride: int = 1, temporal: bool = False) -> Te
         n, temporal = n - 1, False
     strides = tuple(1 if (temporal and i == 0) else stride for i in range(n))
     geom = [same_pad(xd.shape[1 + i], Kd.shape[i], strides[i]) for i in range(n)]
-    path = _conv_folded if xd.shape[-1] > 1 and strides[0] == 1 else _conv_offsets
+    path = _conv_folded if strides[0] == 1 else _conv_offsets
     out, grads = path(xd, Kd, strides, geom)
 
     def backward_fn(g):

@@ -292,6 +292,8 @@ def generate_experiment(cfg: SimConfig, exp_id: int, split: str, seed) -> Experi
 
 def split_counts(n: int, fractions: tuple[float, float, float]) -> tuple[int, int, int]:
     """Largest-remainder apportionment of experiments to train/val/test."""
+    if not all(0.0 <= f <= 1.0 for f in fractions):  # NaN and ±inf fail too
+        raise ValueError(f"split fractions must each lie in [0, 1], got {fractions}")
     if abs(sum(fractions) - 1.0) > 1e-9:
         raise ValueError(f"split fractions must sum to 1, got {fractions}")
     raw = [f * n for f in fractions]

@@ -65,6 +65,16 @@ class TestGen:
         assert rc == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("fractions", ["1.5,-0.25,-0.25", "-0.5,1.0,0.5", "inf,-inf,1"])
+    def test_fraction_outside_unit_interval_exits_with_one_error_line(self, tmp_path, capsys,
+                                                                      fractions):
+        rc = cli.main(["gen", "--experiments", "4", "--samples", "4",
+                       f"--fractions={fractions}", "--out", str(tmp_path)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "[0, 1]" in err and err.count("\n") == 1
+        assert os.listdir(tmp_path) == []
+
     @pytest.mark.parametrize("flag,value", [("--d-raw", "1"), ("--height", "0"),
                                             ("--width", "0")])
     def test_bad_volume_extents_exit_with_one_error_line(self, tmp_path, capsys,
@@ -329,6 +339,19 @@ class TestSweep:
                 cli._parser().parse_args([command, "--jobs", "2"])
             assert exc.value.code == 2
             assert "unrecognized arguments: --jobs" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_jobs_below_one_exits_with_one_error_line(self, tmp_path, capsys, jobs):
+        ds = _gen(tmp_path)
+        capsys.readouterr()
+        rc = cli.main(["sweep", "--dataset", str(ds), "--arch", "resnet2d-s",
+                       "--rep", "2d-s", "--history", "2", "--horizon", "0",
+                       "--epochs", "1", *TINY, "--out", str(tmp_path / "sw"),
+                       "--jobs", jobs])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: --jobs must be at least 1, got {jobs}\n"
+        assert captured.out == "" and not (tmp_path / "sw").exists()
 
     def test_default_grid_is_twenty_cells(self):
         args = cli._parser().parse_args(["sweep", "--dataset", "x"])

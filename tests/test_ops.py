@@ -92,7 +92,8 @@ class TestConvReference:
 
 
 class TestConvPrimitive:
-    # c_in = 1 takes the gathered-column path, c_in > 1 shift-and-matmul
+    # a first axis at stride 1 (stride 1, or temporal) takes the fold and a
+    # strided one the per-offset GEMMs, for c_in = 1 and c_in > 1 alike
     @pytest.mark.parametrize("n", [2, 3, 4])
     @pytest.mark.parametrize("cin", [1, 3])
     @pytest.mark.parametrize("stride", [1, 2])
@@ -105,8 +106,9 @@ class TestConvPrimitive:
         assert fast.shape == ref.shape
         assert rel_err(fast, ref) <= 1e-5
 
-    def test_gathered_gradient_float64(self, rng, monkeypatch):
-        # one sample per column chunk, so dK sums over chunks
+    def test_one_channel_gradient_over_one_frame_tiles_float64(self, rng, monkeypatch):
+        # stride 1: one frame per fold dK tile, so a sample's dK sums over
+        # tiles; stride 2 takes the per-offset path
         monkeypatch.setattr(ops, "GATHER_CHUNK_BYTES", 1)
         with T.use_dtype(np.float64):
             x = Tensor(rng.normal(size=(3, 4, 5, 4, 1)), requires_grad=True)
@@ -116,7 +118,9 @@ class TestConvPrimitive:
                     lambda: T.tsum(square(ops.conv_spatial(x, K, stride))), [x, K], eps=1e-4)
                 assert err < 1e-4
 
-    def test_gathered_columns_are_chunked_and_not_kept(self, rng, monkeypatch):
+    def test_one_channel_fold_keeps_no_columns(self, rng, monkeypatch):
+        # the fold's dK tiles within 1 MB; the peak stays below the [27, rows]
+        # columns of gathered windows for the whole batch
         monkeypatch.setattr(ops, "GATHER_CHUNK_BYTES", 1 << 20)
         x = Tensor(rng.normal(size=(8, 16, 16, 16, 1)).astype(np.float32))
         K = Tensor(rng.normal(size=(3, 3, 3, 1, 4)).astype(np.float32), requires_grad=True)
@@ -131,14 +135,16 @@ class TestConvPrimitive:
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-        # the graph holds the output and the padded input, no columns
+        # the graph holds the output and at most the padded input, no columns
         assert held < out.data.nbytes + padded + (64 << 10)
         assert peak < full_columns
         assert K.grad is not None
 
-    # multi-channel calls whose first axis keeps stride 1 take the fold path:
-    # (x shape, K shape, stride, temporal); k0 = 2 pads asymmetrically, and
-    # extents of 1 and 2 lie below the kernel as in resnet4d's last blocks
+    # calls whose first axis keeps stride 1 take the fold path, whatever
+    # c_in: (x shape, K shape, stride, temporal); k0 = 2 pads asymmetrically,
+    # extents of 1 and 2 lie below the kernel as in resnet4d's last blocks,
+    # and the 1-channel cases are the networks' first convolutions and gate
+    # input maps (flipped-kernel dx, and even kernels' scatter dx)
     FOLD_CASES = {
         "2d k0=3": ((2, 5, 4, 3), (3, 3, 3, 2), 1, False),
         "2d temporal k0=2 s2": ((2, 4, 5, 3), (2, 3, 3, 2), 2, True),
@@ -151,7 +157,41 @@ class TestConvPrimitive:
         "4d temporal k0=2 s2": ((1, 4, 3, 4, 5, 3), (2, 3, 3, 3, 3, 2), 2, True),
         "4d temporal 1^3": ((2, 4, 1, 1, 1, 3), (3, 3, 3, 3, 3, 2), 1, True),
         "4d temporal 2^3 s2": ((2, 3, 2, 2, 2, 3), (3, 3, 3, 3, 3, 2), 2, True),
+        "4d temporal 1ch": ((2, 3, 4, 3, 5, 1), (3, 3, 3, 3, 1, 2), 1, True),
+        "3d k0=2 1ch": ((2, 4, 5, 3, 1), (2, 3, 2, 1, 3), 1, False),
     }
+
+    # (x shape, K shape, stride, temporal, path): conv_nd picks the path by
+    # the first convolved axis's stride alone, after a k_t = 1 axis joins
+    # the batch
+    PATH_CASES = {
+        "2d 1ch": ((2, 5, 4, 1), (3, 3, 1, 2), 1, False, "_conv_folded"),
+        "3d 1ch": ((2, 4, 5, 3, 1), (3, 3, 3, 1, 4), 1, False, "_conv_folded"),
+        "4d temporal 1ch": ((2, 3, 4, 3, 5, 1), (3, 3, 3, 3, 1, 2), 1, True, "_conv_folded"),
+        "4d temporal 1ch s2": ((2, 3, 4, 3, 5, 1), (3, 3, 3, 3, 1, 2), 2, True,
+                               "_conv_folded"),
+        "k_t=1 1ch": ((2, 3, 4, 4, 4, 1), (1, 3, 3, 3, 1, 3), 1, True, "_conv_folded"),
+        "3d 1ch s2": ((2, 5, 4, 3, 1), (3, 3, 3, 1, 2), 2, False, "_conv_offsets"),
+        "3d 3ch s2": ((2, 5, 4, 3, 3), (3, 3, 3, 3, 2), 2, False, "_conv_offsets"),
+        "k_t=1 1ch s2": ((2, 3, 4, 4, 4, 1), (1, 3, 3, 3, 1, 3), 2, True, "_conv_offsets"),
+        "k_t=1 3ch s2": ((2, 3, 4, 4, 4, 3), (1, 3, 3, 3, 3, 3), 2, True, "_conv_offsets"),
+    }
+
+    @pytest.mark.parametrize("case", list(PATH_CASES))
+    def test_path_is_chosen_by_the_first_axis_stride(self, rng, monkeypatch, case):
+        x_shape, K_shape, stride, temporal, want = self.PATH_CASES[case]
+        taken = []
+        for name in ("_conv_folded", "_conv_offsets"):
+            def recorded(*args, name=name, path=getattr(ops, name)):
+                taken.append(name)
+                return path(*args)
+
+            monkeypatch.setattr(ops, name, recorded)
+        x = rng.normal(size=x_shape).astype(np.float32)
+        K = rng.normal(size=K_shape).astype(np.float32)
+        out = ops.conv_nd(Tensor(x), Tensor(K), stride, temporal).data
+        assert taken == [want]
+        assert rel_err(out, ops.conv_nd_reference(x, K, stride, temporal)) <= 1e-5
 
     @pytest.mark.parametrize("case", list(FOLD_CASES))
     def test_fold_path_matches_reference_and_gradients(self, rng, case):
@@ -348,10 +388,11 @@ class TestConv4d:
             T.backward(T.tsum(out))
         assert x.grad.shape == x.shape and K.grad.shape == K.shape
 
-    @pytest.mark.parametrize("chunk_bytes", [ops.GATHER_CHUNK_BYTES, 1])
-    def test_kt1_equals_per_timestep_3d_one_channel(self, rng, monkeypatch, chunk_bytes):
-        # the gathered-column path, in one chunk and in one chunk per sample
-        monkeypatch.setattr(ops, "GATHER_CHUNK_BYTES", chunk_bytes)
+    @pytest.mark.parametrize("tile_bytes", [ops.GATHER_CHUNK_BYTES, 1])
+    def test_kt1_equals_per_timestep_3d_one_channel(self, rng, monkeypatch, tile_bytes):
+        # the fold with c_in = 1, at the default dK tile bound and at one
+        # frame per tile (the bound reaches only dK, so both forwards agree)
+        monkeypatch.setattr(ops, "GATHER_CHUNK_BYTES", tile_bytes)
         x = Tensor(rng.normal(size=(2, 3, 4, 4, 4, 1)).astype(np.float32))
         K = Tensor(rng.normal(size=(1, 3, 3, 3, 1, 3)).astype(np.float32))
         merged = ops.conv_st(x, K, stride=1).data
@@ -421,11 +462,13 @@ def _fold_results(seed, case, dtype):
 
 
 class TestFoldPool:
-    # flipped-kernel dx ("2d k0=3", "4d temporal"), scatter dx (the others,
-    # "3d temporal s2" strided); the TILE_CASES run dK over several tiles
+    # flipped-kernel dx ("2d k0=3", "4d temporal", "4d temporal 1ch"), scatter
+    # dx (the others, "3d temporal s2" strided); the TILE_CASES run dK over
+    # several tiles
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("case", ["2d k0=3", "4d temporal", "3d k0=2", "3d temporal s2",
-                                      "4d temporal k0=2 s2", "4d temporal 1^3"])
+                                      "4d temporal k0=2 s2", "4d temporal 1^3",
+                                      "4d temporal 1ch"])
     def test_one_and_two_workers_agree_bitwise(self, monkeypatch, fold_workers, dtype, case):
         if case in TestConvPrimitive.TILE_CASES:
             TestConvPrimitive.several_frame_tiles(monkeypatch, case, np.dtype(dtype).itemsize)

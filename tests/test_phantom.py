@@ -155,6 +155,14 @@ class TestGenerate:
         assert P.split_counts(12, (0.75, 0.08, 0.17)) == (9, 1, 2)
         assert P.split_counts(10, (0.5, 0.25, 0.25)) == (5, 3, 2)
 
+    # each sums to 1 (or to NaN) with a fraction outside [0, 1]
+    @pytest.mark.parametrize("fractions", [(1.5, -0.25, -0.25), (-0.5, 1.0, 0.5),
+                                           (math.inf, -math.inf, 1.0),
+                                           (math.nan, 0.0, 1.0)])
+    def test_fraction_outside_unit_interval_rejected(self, fractions):
+        with pytest.raises(ValueError, match=r"lie in \[0, 1\]"):
+            P.experiment_splits(4, fractions)
+
     def test_generate_is_deterministic(self):
         cfg = _small_cfg(n=10, seed=21)
         a = P.experiments(3, cfg, (0.4, 0.3, 0.3))
