@@ -255,6 +255,9 @@ def _train_one(settings, p: int, f: int, splits=None, quiet=False):
 
 
 def cmd_train(settings) -> int:
+    every = settings["checkpoint_every"]
+    if every < 0:
+        raise ValueError(f"--checkpoint-every must be at least 0, got {every}")
     p, f = _one_int(settings, "history"), _one_int(settings, "horizon")
     _, _, _, run_id, ckpt = _train_one(settings, p, f)
     print(f"wrote {ckpt} and {run_id}_loss.csv")

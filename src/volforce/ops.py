@@ -8,18 +8,18 @@ symmetric (non-causal) SAME padding.
 
 ``conv_nd`` is the one fast convolution (an autodiff primitive);
 ``conv_spatial``, ``conv_st`` and ``factorized_conv`` are calls of it.
-It has two array paths, chosen by the first axis's stride alone: a fold,
-run per sample, when it is 1, and one GEMM per offset over the batch when
-it is strided (folding would compute every unstrided position).  The fold
-moves the first axis's taps into the GEMM's output columns (a one-axis
-kn2row) and the last axis's taps into its inner dimension (a one-axis
-im2col, free because with channels last they are one contiguous run): 9
-GEMMs rather than 81 for 4D, on buffers that stay in cache.  Its dK puts
-every middle offset's window side by side in a tile of whole frames, one
-wide GEMM per tile.  Its dx is the same fold run on the output gradient
-with the kernel flipped when stride 1 and odd kernels make the padding
-symmetric, and a scatter otherwise.  A temporal axis with k_t = 1 joins
-the batch, so that call is exactly the per-frame convolution.
+It has one array path, a fold run per sample.  The fold moves the first
+axis's taps into the GEMM's output columns (a one-axis kn2row) and the
+last axis's taps into its inner dimension (a one-axis im2col, free
+because with channels last they are one contiguous run): 9 GEMMs rather
+than 81 for 4D, on buffers that stay in cache.  Its dK puts every middle
+offset's window side by side in a tile of whole frames, one wide GEMM per
+tile.  Its dx is the same fold run on the output gradient with the kernel
+flipped when stride 1 and odd kernels make the padding symmetric, and a
+scatter otherwise.  A temporal axis with k_t = 1 joins the batch, so that
+call is exactly the per-frame convolution.  A strided first axis makes
+the batch the first axis of one sample, with a unit kernel, so the fold
+strides only the axes after its first and runs no loop over samples.
 
 The fold's per-sample work runs inline or, when ``_over_samples`` allows,
 on one thread per usable CPU, which pins numpy's OpenBLAS to one thread for
@@ -169,13 +169,13 @@ def _over_samples(batch: int, z_bytes: int, out_bytes: int, scratch, run) -> Non
     with one contiguous range of samples per usable CPU when every CPU gets
     a worker, a sample's Z is at least ``POOL_MIN_BYTES`` and the workers'
     sets fit in two sets (train-resnet4d's peak RSS +1.1% on 2 CPUs) or in
-    the call's output.  ``scratch()`` returns (its buffers, views into
-    them); every set is made here: a worker's own allocations come from its
+    the call's output.  ``scratch()`` returns (its buffers or None, views
+    into them); every set is made here: a worker's own allocations come from its
     own glibc arena, which measured a higher peak RSS.  Making the pool
     pins numpy's OpenBLAS to one thread for the rest of the process: after
     a 2-thread GEMM its helper thread spins and competes with the workers."""
     cpus, first = _workers(), scratch()
-    set_bytes = sum(a.nbytes for a in first[0])
+    set_bytes = sum(a.nbytes for a in first[0] if a is not None)
     if not (1 < cpus <= batch and z_bytes >= POOL_MIN_BYTES
             and cpus * set_bytes <= max(2 * set_bytes, out_bytes)):
         return run(range(batch), first)
@@ -199,66 +199,16 @@ def _window_index(kernel: tuple[int, ...], out_extents: tuple[int, ...],
                  for k_coord in iproduct(*map(range, kernel)))
 
 
-def _pad(xd: np.ndarray, pads) -> tuple[np.ndarray, tuple[slice, ...]]:
-    """``xd`` zero-padded by ``pads`` ((before, after) per axis) and the index
-    of ``xd`` inside it; zeros plus a copy is much cheaper than np.pad."""
-    inner = tuple(slice(lo, lo + e) for e, (lo, _) in zip(xd.shape, pads))
-    if not any(map(any, pads)):
-        return xd, inner
-    xp = np.zeros(tuple(e + lo + hi for e, (lo, hi) in zip(xd.shape, pads)), xd.dtype)
-    xp[inner] = xd
-    return xp, inner
-
-
-def _conv_offsets(xd, Kd, strides, geom):
-    """Strided first axis: all axes padded, and every kernel offset reads a
-    strided window of the padded input into one reused buffer and runs one
-    GEMM over the whole batch (shift-and-matmul).  dK rebuilds the windows."""
-    batch, cin, cout = xd.shape[0], xd.shape[-1], Kd.shape[-1]
-    out_extents = tuple(g[0] for g in geom)
-    xp, inner = _pad(xd, ((0, 0),) + tuple(g[1:] for g in geom) + ((0, 0),))
-    offset_index = _window_index(Kd.shape[:-2], out_extents, strides)
-    K3d = Kd.reshape(len(offset_index), cin, cout)
-    rows = batch * int(np.prod(out_extents))
-
-    def windows():
-        """(offset index, [rows, c_in] window) pairs, copied into one reused buffer."""
-        buf = np.empty((batch,) + out_extents + (cin,), dtype=xd.dtype)
-        for oi, index in enumerate(offset_index):
-            np.copyto(buf, xp[index])
-            yield oi, buf.reshape(rows, cin)
-
-    out2d = np.zeros((rows, cout), dtype=xd.dtype)
-    prod = np.empty_like(out2d)
-    for oi, view in windows():
-        out2d += np.matmul(view, K3d[oi], out=prod)
-
-    def grads(g, need_dx, need_dK):
-        g2d = g.reshape(rows, cout)
-        dx = dK = None
-        if need_dK:
-            dK = np.zeros_like(K3d)
-            for oi, view in windows():
-                np.matmul(view.T, g2d, out=dK[oi])
-        if need_dx:
-            dxp = np.zeros_like(xp)
-            for oi, index in enumerate(offset_index):
-                dxp[index] += (g2d @ K3d[oi].T).reshape((batch,) + out_extents + (cin,))
-            dx = dxp[inner]
-        return dx, dK
-
-    return out2d.reshape((batch,) + out_extents + (cout,)), grads
-
-
 def _conv_folded(xd, Kd, strides, geom):
-    """First axis at stride 1, any c_in: a one-axis kn2row on the first axis
-    and a one-axis im2col on the last, one sample at a time.
+    """First axis at stride 1, other axes at any stride, any c_in: a one-axis
+    kn2row on the first axis and a one-axis im2col on the last, per sample.
 
     The first axis's k0 taps fold into the GEMM's output columns.  With
     channels last, the k_l taps × c_in of one output position along the
     last axis are one contiguous run of the padded input, so they fold
     into the GEMM's inner dimension at no extra copy.  Per sample, the
-    trailing axes are zero-padded into one reused buffer; per tile of
+    trailing axes are zero-padded into one reused buffer (a sample with
+    none padded is read, and its dx written, in place); per tile of
     whole frames (at least one, within ``FRAME_TILE_BYTES``), each middle
     offset j (over the axes between the first and the last) copies its
     window [frames, *out_mid, o_l, k_l, c_in] into one reused buffer and
@@ -309,11 +259,24 @@ def _conv_folded(xd, Kd, strides, geom):
     taps = [(lo0, 0, e0)] + [(k, max(0, lo0 - k), min(e0, e0 + lo0 - k))
                              for k in range(k0) if k != lo0]
 
+    def last_axis_windows(p, writeable=False):
+        """p's last-axis windows [e0, *padded_mid, positions, k_l, c] (a view)."""
+        return np.swapaxes(sliding_window_view(p, kl, axis=-2, writeable=writeable), -1, -2)
+
     def padded_sample(c, writeable=False):
         """One zeroed buffer for a sample padded on the trailing axes, and its
-        last-axis windows [e0, *padded_mid, positions, k_l, c] (a view)."""
+        last-axis windows; (None, None) when no trailing axis is padded."""
+        if padded_trail == xd.shape[2:-1]:
+            return None, None
         p = np.zeros((e0,) + padded_trail + (c,), dtype=xd.dtype)
-        return p, np.swapaxes(sliding_window_view(p, kl, axis=-2, writeable=writeable), -1, -2)
+        return p, last_axis_windows(p, writeable)
+
+    def sample_windows(b, xp, xw):
+        """Sample b's last-axis windows: x[b]'s own, or xw once x[b] is in xp."""
+        if xp is None:
+            return last_axis_windows(xd[b])
+        xp[inner] = xd[b]
+        return xw
 
     z_bytes = rows * k0 * cout * xd.itemsize
     ftile = min(e0, max(1, FRAME_TILE_BYTES // (frame * max(kl * cin, k0 * cout) * xd.itemsize)))
@@ -323,26 +286,25 @@ def _conv_folded(xd, Kd, strides, geom):
 
     def forward_scratch():
         """A worker's padded sample, Z, window and product buffers, and per
-        tile of frames: its rows of Z, of those buffers, and every live
-        offset's window."""
+        tile of frames: its rows of Z and of those buffers, and its frames."""
         xp, xw = padded_sample(cin)
         Z = np.empty((rows, k0 * cout), dtype=xd.dtype)
         buf = np.empty((ftile * frame, kl * cin), dtype=xd.dtype)
         prod = np.empty((ftile * frame, k0 * cout), dtype=xd.dtype)
-        return (xp, Z, buf, prod), [
+        return (xp, Z, buf, prod), (xw, [
             (Z[f0 * frame:f1 * frame], buf[:(f1 - f0) * frame],
              buf[:(f1 - f0) * frame].reshape((f1 - f0,) + out_trail + (kl, cin)),
-             prod[:(f1 - f0) * frame], [xw[f0:f1][index[j]] for j in live])
-            for f0, f1 in frame_tiles(ftile)]
+             prod[:(f1 - f0) * frame], slice(f0, f1))
+            for f0, f1 in frame_tiles(ftile)])
 
     def forward(samples, scratch):
-        (xp, Z, _, _), tiled = scratch
+        (xp, Z, _, _), (xw, tiled) = scratch
         Z3 = Z.reshape(e0, frame, k0, cout)
         for b in samples:
-            xp[inner] = xd[b]
-            for zt, buf, buf_nd, prod, windows in tiled:
-                for i, (j, window) in enumerate(zip(live, windows)):
-                    np.copyto(buf_nd, window)
+            sw = sample_windows(b, xp, xw)
+            for zt, buf, buf_nd, prod, frames in tiled:
+                for i, j in enumerate(live):
+                    np.copyto(buf_nd, sw[frames][index[j]])
                     if i == 0:
                         np.matmul(buf, Kf[j], out=zt)
                     else:
@@ -369,7 +331,7 @@ def _conv_folded(xd, Kd, strides, geom):
 
         def scratch():
             """A worker's buffers, and per dK tile of frames: its wide rows, its
-            rows of dZ, and (wide window, sample window) per live offset; with
+            rows of dZ, its frames and each live offset's block of wide; with
             the scatter, a padded dx sample, its windows and a product buffer."""
             # the dK tile before the per-sample buffers: with glibc's heap
             # this order measured a lower peak RSS in resnet4d training
@@ -377,40 +339,43 @@ def _conv_folded(xd, Kd, strides, geom):
             wide_nd = wide.reshape((tile,) + out_trail + (len(live), kl, cin))
             xp, xw = padded_sample(cin)
             dZ = np.zeros((rows, k0 * cout), dtype=xd.dtype)  # unread frames stay zero
-            tiled = [(wide[:(f1 - f0) * frame], dZ[f0 * frame:f1 * frame],
-                      [(wide_nd[:f1 - f0, ..., i, :, :], xw[f0:f1][index[j]])
-                       for i, j in enumerate(live)]) for f0, f1 in frame_tiles(tile)]
+            tiled = [(wide[:(f1 - f0) * frame], dZ[f0 * frame:f1 * frame], slice(f0, f1),
+                      [wide_nd[:f1 - f0, ..., i, :, :] for i in range(len(live))])
+                     for f0, f1 in frame_tiles(tile)]
             prod = np.empty((width, k0 * cout), dtype=xd.dtype)
             if not scatter:
-                return (wide, xp, dZ, prod), (tiled, None)
+                return (wide, xp, dZ, prod), (xw, tiled, None)
             dxp, dxw = padded_sample(cin, writeable=True)
             buf = np.empty((rows, kl * cin), dtype=xd.dtype)
-            return (wide, xp, dZ, prod, dxp, buf), (tiled, dxw)
+            return (wide, xp, dZ, prod, dxp, buf), (xw, tiled, dxw)
 
         def run(samples, scratch):
-            (_, xp, dZ, prod, *scatter_bufs), (tiled, dxw) = scratch
+            (_, xp, dZ, prod, *scatter_bufs), (xw, tiled, dxw) = scratch
             dZ3 = dZ.reshape(e0, frame, k0, cout)
             for b in samples:
                 for k, a0, a1 in taps:
                     dZ3[a0 + k - lo0:a1 + k - lo0, :, k] = g3[b, a0:a1]
                 if need_dK:  # the sample's tiles sum into its partial, in order
-                    xp[inner] = xd[b]
-                    for t, (wide, dz, copies) in enumerate(tiled):
-                        for dst, src in copies:
-                            np.copyto(dst, src)
+                    sw = sample_windows(b, xp, xw)
+                    for t, (wide, dz, frames, blocks) in enumerate(tiled):
+                        for dst, j in zip(blocks, live):
+                            np.copyto(dst, sw[frames][index[j]])
                         np.matmul(wide.T, dz, out=prod if t else parts[b])
                         if t:
                             parts[b] += prod
-                if scatter:
+                if scatter:  # with no padded buffer, dx[b] is its own
                     dxp, buf = scatter_bufs
+                    dxs, dxsw = (dxp, dxw) if dxp is not None else (
+                        dx[b], last_axis_windows(dx[b], writeable=True))
                     buf_nd = buf.reshape((e0,) + out_trail + (kl, cin))
-                    dxp.fill(0)
+                    dxs.fill(0)
                     for j in live:
                         np.matmul(dZ, Kf[j].T, out=buf)
-                        target = dxw[index[j]]
+                        target = dxsw[index[j]]
                         for t in range(kl):
                             target[..., t, :] += buf_nd[..., t, :]
-                    dx[b] = dxp[inner]
+                    if dxp is not None:
+                        dx[b] = dxp[inner]
 
         _over_samples(batch, z_bytes, g.nbytes, scratch, run)
         dKf = None
@@ -442,26 +407,16 @@ def conv_nd(x: Tensor, K: Tensor, stride: int = 1, temporal: bool = False) -> Te
 
     x: [b, *axes, c_in], K: [*kernel, c_in, c_out]; with ``temporal`` the
     first convolved axis is time and keeps stride 1.  One graph node per
-    call; the backward keeps only the input (padded on the per-offset
-    path; the fold pads one sample at a time).  Two array paths:
-
-    - first axis at stride 1, any c_in: that axis's taps fold into the
-      GEMM's output columns and the last axis's taps into its inner
-      dimension, one sample at a time (one GEMM per middle offset: 9
-      rather than 81 for 4D), so the buffers stay in cache.  dK is one
-      wide GEMM per tile of whole frames over all middle offsets.  dx is
-      the same fold of g with the flipped kernel when stride 1 and odd
-      kernels make the padding symmetric (GEMMs of the forward's shape,
-      no scatter); strided or even kernels scatter dx;
-    - strided first axis: one GEMM per offset over the batch, since
-      folding would compute Z at every unstrided position (measured
-      1.3-2x slower at batch 8).
+    call and one array path, ``_conv_folded``, which pads one sample at a
+    time: the backward keeps only x.
 
     A temporal axis with k_t = 1 joins the batch first, so such a call is
-    exactly the per-frame convolution with K[0].  The fold splits a batch
-    of at least one sample per usable CPU over one thread per CPU and from
-    then on keeps numpy's OpenBLAS at one thread; any worker count gives
-    the same bits.
+    exactly the per-frame convolution with K[0].  A strided first axis
+    would make the fold compute every unstrided position, so such a call
+    folds one sample, x[None], with kernel extent 1 on its first axis, the
+    batch.  The fold splits a batch of at least one sample per usable CPU
+    over one thread per CPU and from then on keeps numpy's OpenBLAS at one
+    thread; any worker count gives the same bits.
     """
     n = _check_conv(x.shape, K.shape, stride)
     xd, Kd, lead = x.data, K.data, x.shape[:1]
@@ -470,8 +425,9 @@ def conv_nd(x: Tensor, K: Tensor, stride: int = 1, temporal: bool = False) -> Te
         n, temporal = n - 1, False
     strides = tuple(1 if (temporal and i == 0) else stride for i in range(n))
     geom = [same_pad(xd.shape[1 + i], Kd.shape[i], strides[i]) for i in range(n)]
-    path = _conv_folded if strides[0] == 1 else _conv_offsets
-    out, grads = path(xd, Kd, strides, geom)
+    if strides[0] > 1:  # the batch becomes the fold's first axis, with a unit kernel
+        xd, Kd, strides, geom = xd[None], Kd[None], (1,) + strides, [(len(xd), 0, 0)] + geom
+    out, grads = _conv_folded(xd, Kd, strides, geom)
 
     def backward_fn(g):
         dx, dK = grads(np.ascontiguousarray(g), x.requires_grad, K.requires_grad)
@@ -480,7 +436,7 @@ def conv_nd(x: Tensor, K: Tensor, stride: int = 1, temporal: bool = False) -> Te
         if dx is not None:
             T._accumulate(x, dx)
 
-    return T._make(out.reshape(lead + out.shape[1:]), (x, K), backward_fn)
+    return T._make(out.reshape(lead + out.shape[-n - 1:]), (x, K), backward_fn)
 
 
 def conv_spatial(x: Tensor, K: Tensor, stride: int = 1) -> Tensor:

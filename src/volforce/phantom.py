@@ -49,6 +49,8 @@ class TrajectoryConfig:
     def __post_init__(self):
         if self.kind not in ("sinusoid", "spline"):
             raise ValueError(f"unknown trajectory kind {self.kind!r}")
+        if self.n_samples < 1:
+            raise ValueError(f"samples per experiment must be at least 1, got {self.n_samples}")
         if self.contact_mm >= self.max_mm:
             raise ValueError("contact depth must be below max depth")
         if min(self.amplitude_mm) <= 0 or min(self.frequency_hz) <= 0:

@@ -75,6 +75,17 @@ class TestGen:
         assert err.startswith("error:") and "[0, 1]" in err and err.count("\n") == 1
         assert os.listdir(tmp_path) == []
 
+    @pytest.mark.parametrize("samples", ["0", "-2"])
+    def test_sample_count_below_one_exits_with_one_error_line(self, tmp_path, capsys,
+                                                              samples):
+        rc = cli.main(["gen", "--experiments", "3", "--samples", samples,
+                       "--out", str(tmp_path)])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.err == (f"error: samples per experiment must be at least 1, "
+                                f"got {samples}\n")
+        assert captured.out == "" and os.listdir(tmp_path) == []
+
     @pytest.mark.parametrize("flag,value", [("--d-raw", "1"), ("--height", "0"),
                                             ("--width", "0")])
     def test_bad_volume_extents_exit_with_one_error_line(self, tmp_path, capsys,
@@ -136,6 +147,17 @@ class TestTrain:
         err = capsys.readouterr().err
         assert err.startswith("error:") and text in err and err.count("\n") == 1
         assert not (tmp_path / "run").exists()
+
+    def test_negative_checkpoint_every_exits_with_one_error_line(self, tmp_path, capsys):
+        ds = _gen(tmp_path)
+        capsys.readouterr()
+        rc = cli.main(["train", "--dataset", str(ds), "--arch", "resnet2d-s",
+                       "--rep", "2d-s", *TINY, "--checkpoint-every", "-1", "--epochs", "1",
+                       "--out", str(tmp_path / "run")])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: --checkpoint-every must be at least 0, got -1\n"
+        assert captured.out == "" and not (tmp_path / "run").exists()
 
     def test_missing_dataset_exits_nonzero(self, tmp_path):
         rc = cli.main(["train", "--dataset", str(tmp_path / "nope.oct4d"),

@@ -91,9 +91,23 @@ class TestConvReference:
             ops.conv_nd_reference(np.zeros((1, 4, 1)), np.zeros((3, 1, 1)))
 
 
+@pytest.fixture
+def fold_calls(monkeypatch):
+    """The input shapes of the ``_conv_folded`` calls made from here on."""
+    calls = []
+    fold = ops._conv_folded
+
+    def counted(*args):
+        calls.append(args[0].shape)
+        return fold(*args)
+
+    monkeypatch.setattr(ops, "_conv_folded", counted)
+    return calls
+
+
 class TestConvPrimitive:
-    # a first axis at stride 1 (stride 1, or temporal) takes the fold and a
-    # strided one the per-offset GEMMs, for c_in = 1 and c_in > 1 alike
+    # every call takes the fold, for c_in = 1 and c_in > 1 alike; a strided
+    # first axis folds with the batch as the fold's first axis
     @pytest.mark.parametrize("n", [2, 3, 4])
     @pytest.mark.parametrize("cin", [1, 3])
     @pytest.mark.parametrize("stride", [1, 2])
@@ -107,8 +121,8 @@ class TestConvPrimitive:
         assert rel_err(fast, ref) <= 1e-5
 
     def test_one_channel_gradient_over_one_frame_tiles_float64(self, rng, monkeypatch):
-        # stride 1: one frame per fold dK tile, so a sample's dK sums over
-        # tiles; stride 2 takes the per-offset path
+        # one frame per fold dK tile, so a sample's dK sums over tiles; at
+        # stride 2 the batch is the fold's first axis, so its frames are samples
         monkeypatch.setattr(ops, "GATHER_CHUNK_BYTES", 1)
         with T.use_dtype(np.float64):
             x = Tensor(rng.normal(size=(3, 4, 5, 4, 1)), requires_grad=True)
@@ -140,11 +154,16 @@ class TestConvPrimitive:
         assert peak < full_columns
         assert K.grad is not None
 
-    # calls whose first axis keeps stride 1 take the fold path, whatever
-    # c_in: (x shape, K shape, stride, temporal); k0 = 2 pads asymmetrically,
-    # extents of 1 and 2 lie below the kernel as in resnet4d's last blocks,
-    # and the 1-channel cases are the networks' first convolutions and gate
-    # input maps (flipped-kernel dx, and even kernels' scatter dx)
+    # every call takes the fold, whatever c_in: (x shape, K shape, stride,
+    # temporal); k0 = 2 pads asymmetrically, extents of 1 and 2 lie below the
+    # kernel as in resnet4d's last blocks, the 1-channel cases are the
+    # networks' first convolutions and gate input maps (flipped-kernel dx,
+    # and even kernels' scatter dx), and a strided first axis (the "s2"
+    # cases that are not temporal) folds with the batch as its first axis:
+    # a residual block's strided convolution, its 1-kernel projection, and
+    # a strided k_t = 1 call, whose frames join the batch first; a temporal
+    # kernel with unit spatial extents pads no trailing axis, so the fold
+    # reads each sample in place
     FOLD_CASES = {
         "2d k0=3": ((2, 5, 4, 3), (3, 3, 3, 2), 1, False),
         "2d temporal k0=2 s2": ((2, 4, 5, 3), (2, 3, 3, 2), 2, True),
@@ -159,38 +178,34 @@ class TestConvPrimitive:
         "4d temporal 2^3 s2": ((2, 3, 2, 2, 2, 3), (3, 3, 3, 3, 3, 2), 2, True),
         "4d temporal 1ch": ((2, 3, 4, 3, 5, 1), (3, 3, 3, 3, 1, 2), 1, True),
         "3d k0=2 1ch": ((2, 4, 5, 3, 1), (2, 3, 2, 1, 3), 1, False),
+        "3d k3 s2": ((3, 5, 4, 3, 2), (3, 3, 3, 2, 3), 2, False),
+        "3d k1 s2": ((3, 5, 4, 3, 2), (1, 1, 1, 2, 3), 2, False),
+        "k_t=1 s2": ((2, 3, 4, 5, 3, 2), (1, 3, 3, 3, 2, 3), 2, True),
+        "4d temporal 1^3 kernel s2": ((2, 4, 3, 2, 3, 2), (3, 1, 1, 1, 2, 3), 2, True),
     }
 
-    # (x shape, K shape, stride, temporal, path): conv_nd picks the path by
-    # the first convolved axis's stride alone, after a k_t = 1 axis joins
-    # the batch
+    # (x shape, K shape, stride, temporal): whatever the first convolved
+    # axis's stride, after a k_t = 1 axis joins the batch, conv_nd's forward
+    # is one fold call
     PATH_CASES = {
-        "2d 1ch": ((2, 5, 4, 1), (3, 3, 1, 2), 1, False, "_conv_folded"),
-        "3d 1ch": ((2, 4, 5, 3, 1), (3, 3, 3, 1, 4), 1, False, "_conv_folded"),
-        "4d temporal 1ch": ((2, 3, 4, 3, 5, 1), (3, 3, 3, 3, 1, 2), 1, True, "_conv_folded"),
-        "4d temporal 1ch s2": ((2, 3, 4, 3, 5, 1), (3, 3, 3, 3, 1, 2), 2, True,
-                               "_conv_folded"),
-        "k_t=1 1ch": ((2, 3, 4, 4, 4, 1), (1, 3, 3, 3, 1, 3), 1, True, "_conv_folded"),
-        "3d 1ch s2": ((2, 5, 4, 3, 1), (3, 3, 3, 1, 2), 2, False, "_conv_offsets"),
-        "3d 3ch s2": ((2, 5, 4, 3, 3), (3, 3, 3, 3, 2), 2, False, "_conv_offsets"),
-        "k_t=1 1ch s2": ((2, 3, 4, 4, 4, 1), (1, 3, 3, 3, 1, 3), 2, True, "_conv_offsets"),
-        "k_t=1 3ch s2": ((2, 3, 4, 4, 4, 3), (1, 3, 3, 3, 3, 3), 2, True, "_conv_offsets"),
+        "2d 1ch": ((2, 5, 4, 1), (3, 3, 1, 2), 1, False),
+        "3d 1ch": ((2, 4, 5, 3, 1), (3, 3, 3, 1, 4), 1, False),
+        "4d temporal 1ch": ((2, 3, 4, 3, 5, 1), (3, 3, 3, 3, 1, 2), 1, True),
+        "4d temporal 1ch s2": ((2, 3, 4, 3, 5, 1), (3, 3, 3, 3, 1, 2), 2, True),
+        "k_t=1 1ch": ((2, 3, 4, 4, 4, 1), (1, 3, 3, 3, 1, 3), 1, True),
+        "3d 1ch s2": ((2, 5, 4, 3, 1), (3, 3, 3, 1, 2), 2, False),
+        "3d 3ch s2": ((2, 5, 4, 3, 3), (3, 3, 3, 3, 2), 2, False),
+        "k_t=1 1ch s2": ((2, 3, 4, 4, 4, 1), (1, 3, 3, 3, 1, 3), 2, True),
+        "k_t=1 3ch s2": ((2, 3, 4, 4, 4, 3), (1, 3, 3, 3, 3, 3), 2, True),
     }
 
     @pytest.mark.parametrize("case", list(PATH_CASES))
-    def test_path_is_chosen_by_the_first_axis_stride(self, rng, monkeypatch, case):
-        x_shape, K_shape, stride, temporal, want = self.PATH_CASES[case]
-        taken = []
-        for name in ("_conv_folded", "_conv_offsets"):
-            def recorded(*args, name=name, path=getattr(ops, name)):
-                taken.append(name)
-                return path(*args)
-
-            monkeypatch.setattr(ops, name, recorded)
+    def test_every_call_runs_the_fold_once(self, rng, fold_calls, case):
+        x_shape, K_shape, stride, temporal = self.PATH_CASES[case]
         x = rng.normal(size=x_shape).astype(np.float32)
         K = rng.normal(size=K_shape).astype(np.float32)
         out = ops.conv_nd(Tensor(x), Tensor(K), stride, temporal).data
-        assert taken == [want]
+        assert len(fold_calls) == 1
         assert rel_err(out, ops.conv_nd_reference(x, K, stride, temporal)) <= 1e-5
 
     @pytest.mark.parametrize("case", list(FOLD_CASES))
@@ -212,8 +227,8 @@ class TestConvPrimitive:
         assert err < 1e-4
 
     # <conv(x, K), g> = <x, dx> = <K, dK> in float64 involves every entry of
-    # dx and dK, where the finite-difference check samples 32; the strided
-    # first axis takes the per-offset path
+    # dx and dK, where the finite-difference check samples 32; "3d s2" folds
+    # with the batch as the fold's first axis
     ADJOINT_CASES = dict(FOLD_CASES, **{"3d s2": ((2, 5, 4, 3, 2), (3, 3, 3, 2, 3), 2, False)})
 
     @pytest.mark.parametrize("case", list(ADJOINT_CASES))
@@ -275,24 +290,16 @@ class TestConvPrimitive:
     @pytest.mark.parametrize("case, dx_by_forward", [
         ("2d k0=3", True), ("2d temporal k_t=1", True), ("4d temporal", True),
         ("3d extent 1", True), ("3d k0=2", False), ("3d temporal s2", False),
-        ("4d temporal k0=2 s2", False)])
-    def test_fold_dx_route(self, rng, monkeypatch, case, dx_by_forward):
-        calls = []
-        fold = ops._conv_folded
-
-        def counted(*args):
-            calls.append(args[0].shape)
-            return fold(*args)
-
-        monkeypatch.setattr(ops, "_conv_folded", counted)
+        ("4d temporal k0=2 s2", False), ("3d k3 s2", False)])
+    def test_fold_dx_route(self, rng, fold_calls, case, dx_by_forward):
         x_shape, K_shape, stride, temporal = self.FOLD_CASES[case]
         K = Tensor(rng.normal(size=K_shape).astype(np.float32), requires_grad=True)
         for x_grad in (False, True):
             x = Tensor(rng.normal(size=x_shape).astype(np.float32), requires_grad=x_grad)
             out = ops.conv_nd(x, K, stride, temporal)
-            del calls[:]
+            del fold_calls[:]
             T.backward(T.tsum(out))
-            assert len(calls) == (x_grad and dx_by_forward)
+            assert len(fold_calls) == (x_grad and dx_by_forward)
 
     def test_folded_buffers_are_per_sample_and_not_kept(self, rng, fold_workers):
         x = Tensor(rng.normal(size=(8, 16, 16, 16, 4)).astype(np.float32), requires_grad=True)
@@ -322,6 +329,22 @@ class TestConvPrimitive:
             assert peak < 2 * out_bytes + padded + x.data.nbytes + batch_z // 2
             assert K.grad is not None and x.grad is not None
             assert (len(used) > pooled_before) == (workers == 2)
+
+    def test_strided_call_keeps_no_padded_batch(self, rng):
+        # convgru's block2.conv1: the fold pads its one sample (the whole
+        # batch) in a scratch buffer, so the graph keeps about the output
+        x = Tensor(rng.normal(size=(8, 16, 16, 16, 16)).astype(np.float32), requires_grad=True)
+        K = Tensor(rng.normal(size=(3, 3, 3, 16, 32)).astype(np.float32), requires_grad=True)
+        out_bytes = 8 * 8 ** 3 * 32 * 4
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = ops.conv_spatial(x, K, 2)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert out.data.nbytes == out_bytes
+        assert held < out_bytes + (64 << 10)
 
     @pytest.mark.parametrize("stride", [0, -1])
     def test_stride_below_one_rejected(self, rng, stride):
@@ -463,12 +486,13 @@ def _fold_results(seed, case, dtype):
 
 class TestFoldPool:
     # flipped-kernel dx ("2d k0=3", "4d temporal", "4d temporal 1ch"), scatter
-    # dx (the others, "3d temporal s2" strided); the TILE_CASES run dK over
-    # several tiles
+    # dx (the others, "3d temporal s2" strided, and "4d temporal 1^3 kernel
+    # s2", whose samples and dx are read and written in place); the
+    # TILE_CASES run dK over several tiles
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("case", ["2d k0=3", "4d temporal", "3d k0=2", "3d temporal s2",
                                       "4d temporal k0=2 s2", "4d temporal 1^3",
-                                      "4d temporal 1ch"])
+                                      "4d temporal 1ch", "4d temporal 1^3 kernel s2"])
     def test_one_and_two_workers_agree_bitwise(self, monkeypatch, fold_workers, dtype, case):
         if case in TestConvPrimitive.TILE_CASES:
             TestConvPrimitive.several_frame_tiles(monkeypatch, case, np.dtype(dtype).itemsize)

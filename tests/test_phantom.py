@@ -163,6 +163,11 @@ class TestGenerate:
         with pytest.raises(ValueError, match=r"lie in \[0, 1\]"):
             P.experiment_splits(4, fractions)
 
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_sample_count_below_one_rejected(self, n):
+        with pytest.raises(ValueError, match=f"at least 1, got {n}"):
+            P.TrajectoryConfig(n_samples=n)
+
     def test_generate_is_deterministic(self):
         cfg = _small_cfg(n=10, seed=21)
         a = P.experiments(3, cfg, (0.4, 0.3, 0.3))
