@@ -22,10 +22,10 @@ the batch the first axis of one sample, with a unit kernel, so the fold
 strides only the axes after its first and runs no loop over samples.
 
 The fold's per-sample work runs inline or, when ``_over_samples`` allows,
-on one thread per usable CPU, which pins numpy's OpenBLAS to one thread for
-the rest of the process.  Each sample is written by one worker and the dK
-partials add in sample order in the calling thread, so no result depends
-on the worker count.
+on the process's one worker pool (``tensor._pool``, one thread per usable
+CPU; making it pins numpy's OpenBLAS to one thread).  Each sample is
+written by one worker and the dK partials add in sample order in the
+calling thread, so no result depends on the worker count.
 
 ``conv_nd_reference`` is the slow, straight-line evaluation of the N-D
 convolution sum and is the correctness oracle for every faster path in
@@ -38,16 +38,13 @@ ReLU) is a single graph node that keeps two arrays the size of its input.
 It runs on a view of n rows of c channels as rows of up to ``NORM_ROW``
 elements: its elementwise passes are the op-by-op expression's, bit for
 bit, and its channel sums follow a lane order fixed by (n, c) alone, with
-no thread and no BLAS call.
+no thread and no BLAS call.  Its elementwise passes run by ranges of those
+rows on the pool once they write ``tensor.SPLIT_MIN_BYTES``.
 """
 
 from __future__ import annotations
 
-import ctypes
-import os
-from concurrent.futures import ThreadPoolExecutor
 from functools import lru_cache
-from glob import glob
 from itertools import product as iproduct
 from typing import Callable
 
@@ -130,40 +127,6 @@ FRAME_TILE_BYTES = 1 << 20
 POOL_MIN_BYTES = 64 << 10
 
 
-@lru_cache(maxsize=None)
-def _blas_threads():
-    """(set, get) for the thread count of the OpenBLAS bundled with numpy's
-    wheel, through ctypes; None for any other BLAS (MKL, Accelerate, a
-    system BLAS), whose calls then all run inline."""
-    libs = glob(os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs",
-                             "libscipy_openblas64_*"))
-    try:
-        lib = ctypes.CDLL(libs[0])
-        setter = lib.scipy_openblas_set_num_threads64_
-        getter = lib.scipy_openblas_get_num_threads64_
-    except (IndexError, OSError, AttributeError):
-        return None
-    setter.argtypes, setter.restype = [ctypes.c_int], None
-    getter.argtypes, getter.restype = [], ctypes.c_int
-    return setter, getter
-
-
-def _workers() -> int:
-    """Threads for the fold's samples: one per usable CPU when numpy's
-    OpenBLAS can be pinned to one thread, else 1 (every call inline).
-    Without ``os.sched_getaffinity`` (Windows, macOS) every CPU counts."""
-    if not _blas_threads():
-        return 1
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-_POOL = {}  # the fold's worker threads, made on first use
-if hasattr(os, "register_at_fork"):  # a forked child's copy of the pool has no threads
-    os.register_at_fork(after_in_child=_POOL.clear)
-
-
 def _over_samples(batch: int, z_bytes: int, out_bytes: int, scratch, run) -> None:
     """Call ``run(samples, scratch())`` over the batch: inline, or on the pool
     with one contiguous range of samples per usable CPU when every CPU gets
@@ -171,22 +134,16 @@ def _over_samples(batch: int, z_bytes: int, out_bytes: int, scratch, run) -> Non
     sets fit in two sets (train-resnet4d's peak RSS +1.1% on 2 CPUs) or in
     the call's output.  ``scratch()`` returns (its buffers or None, views
     into them); every set is made here: a worker's own allocations come from its
-    own glibc arena, which measured a higher peak RSS.  Making the pool
-    pins numpy's OpenBLAS to one thread for the rest of the process: after
-    a 2-thread GEMM its helper thread spins and competes with the workers."""
-    cpus, first = _workers(), scratch()
+    own glibc arena, which measured a higher peak RSS.  The pool is the
+    process's one (``T._pool``)."""
+    cpus, first = T._workers(), scratch()
     set_bytes = sum(a.nbytes for a in first[0] if a is not None)
     if not (1 < cpus <= batch and z_bytes >= POOL_MIN_BYTES
             and cpus * set_bytes <= max(2 * set_bytes, out_bytes)):
         return run(range(batch), first)
     ranges = [range(w * batch // cpus, (w + 1) * batch // cpus) for w in range(cpus)]
     sets = [first] + [scratch() for _ in ranges[1:]]
-    if not _POOL:
-        blas = _blas_threads()
-        if blas:  # None only where a test sets the worker count
-            blas[0](1)
-        _POOL["threads"] = ThreadPoolExecutor(cpus)
-    list(_POOL["threads"].map(run, ranges, sets))
+    list(T._pool().map(run, ranges, sets))
 
 
 @lru_cache(maxsize=256)
@@ -434,7 +391,7 @@ def conv_nd(x: Tensor, K: Tensor, stride: int = 1, temporal: bool = False) -> Te
         if dK is not None:
             T._accumulate(K, dK)
         if dx is not None:
-            T._accumulate(x, dx)
+            T._accumulate(x, dx, owned=True)  # a fresh buffer; dK is a moveaxis view
 
     return T._make(out.reshape(lead + out.shape[-n - 1:]), (x, K), backward_fn)
 
@@ -570,9 +527,11 @@ def batch_norm(x: Tensor, state: BatchNorm, training: bool, slot: int = 0,
 
     Every pass runs on the wide view [n/m, m*c] (``_lanes``), with the
     per-channel vectors tiled m times, so each elementwise value is the
-    op-by-op expression's, bit for bit.  The channel sums (the mean, the
-    variance, dbeta and dgamma) are ``_channel_sums``' lane order; when
-    n*c <= ``NORM_ROW``, m = n and that is the plain per-channel order.
+    op-by-op expression's, bit for bit.  The passes between two sums are one
+    ``T._over_rows`` call, into buffers made here.  The channel sums (the
+    mean, the variance, dbeta and dgamma) are ``_channel_sums``' lane
+    order, in the calling thread; when n*c <= ``NORM_ROW``, m = n and that
+    is the plain per-channel order.
     """
     c = state.channels
     if x.shape[-1] != c:
@@ -590,43 +549,66 @@ def batch_norm(x: Tensor, state: BatchNorm, training: bool, slot: int = 0,
     if training:
         if x.shape[0] < 2:
             raise ValueError("batch norm in training mode needs batch size >= 2")
-        mu = _channel_sums(xw, c) * inv_n
-        x_hat = xw - np.tile(mu, m)
-        spent = x_hat * x_hat  # (x - mu) ** 2.0, bit for bit
+        mu = np.tile(_channel_sums(xw, c) * inv_n, m)
+        x_hat = np.empty(xw.shape, np.result_type(xw, mu))
+        spent = np.empty_like(x_hat)
+
+        def centre(r):  # spent is (x - mu) ** 2.0, bit for bit
+            np.multiply(np.subtract(xw[r], mu, out=x_hat[r]), x_hat[r], out=spent[r])
+
+        T._over_rows(x_hat, centre)
         var = _channel_sums(spent, c) * inv_n
-        running_mean += state.momentum * (mu - running_mean)
+        running_mean += state.momentum * (mu[:c] - running_mean)
         running_var += state.momentum * (var - running_var)
         sigma = np.sqrt(var + np.asarray(state.eps, dt))
     else:
-        mu = np.asarray(running_mean, dt)
+        mu = np.tile(np.asarray(running_mean, dt), m)
         sigma = np.asarray(np.sqrt(running_var + state.eps), dt)
-        x_hat = xw - np.tile(mu, m)
+        x_hat = np.empty(xw.shape, np.result_type(xw, mu))
         records = x.requires_grad or gamma.requires_grad or beta.requires_grad
         if not (T._GRAD_ENABLED and records):
             spent = x_hat  # no graph keeps x_hat, so it becomes the output
-    x_hat /= np.tile(sigma, m)
+    sigma_w, gamma_w, beta_w = (np.tile(v, m) for v in (sigma, gamma.data, beta.data))
     if np.result_type(x_hat, gamma.data, beta.data) != x_hat.dtype:
         spent = None  # gamma and beta widen the dtype: the output is a new array
-    out = np.multiply(x_hat, np.tile(gamma.data, m), out=spent)
-    out += np.tile(beta.data, m)
-    if relu:
-        np.maximum(out, 0, out=out)
+    out = spent if spent is not None else np.empty(x_hat.shape, np.result_type(x_hat, gamma_w))
+
+    def scale(r):
+        if not training:
+            np.subtract(xw[r], mu, out=x_hat[r])
+        np.divide(x_hat[r], sigma_w, out=x_hat[r])
+        np.add(np.multiply(x_hat[r], gamma_w, out=out[r]), beta_w, out=out[r])
+        if relu:
+            np.maximum(out[r], 0, out=out[r])
+
+    T._over_rows(out, scale)
     out = out.reshape(x.shape)
 
     def backward_fn(g):
         # g is this node's own gradient buffer, freed after the call.  Wide
         # views are made here: one kept by the closure is one more array
-        if relu:
-            g *= out > 0
-        gw = g.reshape(x_hat.shape)
+        gw, outw = g.reshape(x_hat.shape), out.reshape(x_hat.shape)
+        prod = np.empty(x_hat.shape, np.result_type(gw, x_hat))
+
+        def mask_and_prod(r):  # g *= (out > 0), the mask as 1.0 and 0.0 in prod
+            if relu:
+                np.multiply(gw[r], np.greater(outw[r], 0, out=prod[r]), out=gw[r])
+            np.multiply(gw[r], x_hat[r], out=prod[r])
+
+        T._over_rows(gw, mask_and_prod)
         dbeta = _channel_sums(gw, c)
-        prod = gw * x_hat
         dgamma = _channel_sums(prod, c)
         if x.requires_grad:
-            if training:  # dx = gamma/sigma * (g - mean g - x_hat * mean(g x_hat))
-                gw -= np.tile(dbeta * inv_n, m)
-                gw -= np.multiply(x_hat, np.tile(dgamma * inv_n, m), out=prod)
-            gw *= np.tile(gamma.data / sigma, m)
+            mean_g, mean_gx, gain = (np.tile(v, m) for v in
+                                     (dbeta * inv_n, dgamma * inv_n, gamma.data / sigma))
+
+            def dx(r):  # gamma/sigma * (g - mean g - x_hat * mean(g x_hat)) in training
+                if training:
+                    np.subtract(gw[r], mean_g, out=gw[r])
+                    np.subtract(gw[r], np.multiply(x_hat[r], mean_gx, out=prod[r]), out=gw[r])
+                np.multiply(gw[r], gain, out=gw[r])
+
+            T._over_rows(gw, dx)
             T._accumulate(x, g, owned=True)
         if gamma.requires_grad:
             T._accumulate(gamma, dgamma)

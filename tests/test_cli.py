@@ -329,12 +329,12 @@ class TestSweep:
         script = (
             "import sys\n"
             "import numpy as np\n"
-            "from volforce import cli, ops\n"
+            "from volforce import cli, ops, tensor\n"
             "from volforce.tensor import Tensor\n"
-            "ops._workers, ops.POOL_MIN_BYTES = (lambda: 2), 0\n"
+            "tensor._workers, tensor.SPLIT_MIN_BYTES, ops.POOL_MIN_BYTES = (lambda: 2), 0, 0\n"
             "ops.conv_spatial(Tensor(np.ones((2, 8, 8, 8, 4), np.float32)),\n"
             "                 Tensor(np.ones((3, 3, 3, 4, 4), np.float32)))\n"
-            "assert ops._POOL\n"
+            "assert tensor._POOL\n"
             "sys.exit(cli.main(sys.argv[1:]))\n")
         src = os.path.dirname(os.path.dirname(cli.__file__))
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(

@@ -1,6 +1,8 @@
 import contextlib
 import math
 import os
+import sys
+import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
@@ -330,6 +332,46 @@ class TestConvPrimitive:
             assert K.grad is not None and x.grad is not None
             assert (len(used) > pooled_before) == (workers == 2)
 
+    # the flipped-kernel and the scatter route: x.grad is the dx buffer itself
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_fresh_dx_becomes_x_grad_without_a_copy(self, rng, monkeypatch, stride):
+        handed = []
+        fold = ops._conv_folded
+
+        def recorded(*args):
+            out, grads = fold(*args)
+
+            def kept(*gargs):
+                dx, dK = grads(*gargs)
+                handed.append(dx)
+                return dx, dK
+
+            return out, kept
+
+        monkeypatch.setattr(ops, "_conv_folded", recorded)
+        accumulate = T._accumulate
+        peaks = {}
+
+        def traced(t, g, owned=False):
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            accumulate(t, g, owned)
+            peaks[id(t)] = tracemalloc.get_traced_memory()[1] - before
+
+        monkeypatch.setattr(T, "_accumulate", traced)
+        x = Tensor(rng.normal(size=(8, 16, 16, 16, 16)).astype(np.float32), requires_grad=True)
+        K = Tensor(rng.normal(size=(3, 3, 3, 16, 16)).astype(np.float32), requires_grad=True)
+        out = ops.conv_spatial(x, K, stride)
+        tracemalloc.start()
+        try:
+            out._backward(rng.normal(size=out.shape).astype(np.float32))
+        finally:
+            tracemalloc.stop()
+        assert np.shares_memory(x.grad, handed[-1]) and x.grad.shape == x.shape
+        # a copy of dx would add one input's bytes (2 MiB) here
+        assert peaks[id(x)] < x.data.nbytes // 4
+        assert not np.shares_memory(K.grad, handed[-1]) and K.grad.flags.c_contiguous
+
     def test_strided_call_keeps_no_padded_batch(self, rng):
         # convgru's block2.conv1: the fold pads its one sample (the whole
         # batch) in a scratch buffer, so the graph keeps about the output
@@ -450,21 +492,24 @@ class TestConv4d:
 
 @pytest.fixture
 def fold_workers(monkeypatch):
-    """Sets the fold's worker count, with no size cutoff, on a pool of its
-    own; the list it returns records the sample ranges of each use."""
+    """Sets the pool's worker count, with no size cutoff for the fold or the
+    row splits, on a pool of its own; the list it returns records the
+    sample ranges of each use by the fold."""
     used = []
 
     class Counted(ThreadPoolExecutor):
         def map(self, *args):
-            used.append(args[1])  # the ranges: keeping the scratch sets would hold them
+            if len(args) == 3:  # the fold's (run, ranges, scratch sets)
+                used.append(args[1])  # keeping the scratch sets would hold them
             return super().map(*args)
 
     pool = Counted(2)
     monkeypatch.setattr(ops, "POOL_MIN_BYTES", 0)
-    monkeypatch.setattr(ops, "_POOL", {"threads": pool})
+    monkeypatch.setattr(T, "SPLIT_MIN_BYTES", 0)
+    monkeypatch.setattr(T, "_POOL", {"threads": pool})
 
     def set_workers(n):
-        monkeypatch.setattr(ops, "_workers", lambda: n)
+        monkeypatch.setattr(T, "_workers", lambda: n)
         return used
 
     yield set_workers
@@ -536,7 +581,7 @@ class TestFoldPool:
                                                                    fold_workers):
         fold_workers(2)
         expected = _fold_results(3, "4d temporal", np.float32)
-        blas = ops._blas_threads()
+        blas = T._blas_threads()
         before = blas[1]() if blas else None
         monkeypatch.undo()
 
@@ -544,13 +589,14 @@ class TestFoldPool:
             raise AssertionError("no pool without an OpenBLAS thread setter")
 
         monkeypatch.setattr(ops, "POOL_MIN_BYTES", 0)
-        monkeypatch.setattr(ops, "_blas_threads", lambda: None)
-        monkeypatch.setattr(ops, "_POOL", {})
-        monkeypatch.setattr(ops, "ThreadPoolExecutor", forbidden)
+        monkeypatch.setattr(T, "SPLIT_MIN_BYTES", 0)
+        monkeypatch.setattr(T, "_blas_threads", lambda: None)
+        monkeypatch.setattr(T, "_POOL", {})
+        monkeypatch.setattr(T, "ThreadPoolExecutor", forbidden)
         try:
             if blas:
                 blas[0](2)
-            assert ops._workers() == 1
+            assert T._workers() == 1
             for got, want in zip(_fold_results(3, "4d temporal", np.float32), expected):
                 npt.assert_array_equal(got, want)
             if blas:
@@ -563,13 +609,124 @@ class TestFoldPool:
         # Windows has no os.sched_getaffinity, while numpy's wheel still
         # bundles the OpenBLAS whose thread count the pool pins
         monkeypatch.delattr(os, "sched_getaffinity")
-        monkeypatch.setattr(ops, "_blas_threads", lambda: (lambda n: None, lambda: 1))
-        workers = ops._workers()
+        monkeypatch.setattr(T, "_blas_threads", lambda: (lambda n: None, lambda: 1))
+        workers = T._workers()
         assert isinstance(workers, int) and workers >= 1
         x = np.random.default_rng(4).normal(size=(4, 6, 6, 6, 3)).astype(np.float32)
         K = np.random.default_rng(5).normal(size=(3, 3, 3, 3, 2)).astype(np.float32)
         fast = ops.conv_spatial(Tensor(x), Tensor(K)).data
         assert rel_err(fast, ops.conv_nd_reference(x, K)) <= 1e-5
+
+
+def _arch_results(arch, dtype):
+    """Training output, gradients and running statistics, then the eval
+    output, of a tiny ``arch`` at batch 3 with seeded weights and inputs."""
+    rep = A.ARCH_TABLE[arch][2][0]
+    rng = np.random.default_rng(5)
+    with T.use_dtype(dtype):
+        net = A.build(A.config_from_arch(arch, rep, history=2, base_channels=4, n_blocks=2,
+                                         spatial_output_stride=2), seed=0)
+        shape = {"4d-st": (3, 2, 8, 8, 8, 1), "ps-4d-st": (3, 2, 8, 8, 8, 8),
+                 "3d-st": (3, 2, 8, 8, 1), "3d-s": (3, 8, 8, 8, 1),
+                 "2d-s": (3, 8, 8, 1)}[rep]
+        x = Tensor(rng.normal(size=shape))
+        out = net.forward(x, training=True)
+        T.backward(T.tsum(out * Tensor(rng.normal(size=out.shape))))
+        results = [out.data] + [p.grad for _, p in net.named_params()]
+        results += [b.copy() for _, b in net.named_buffers()]
+        return results + [net.forward(x, training=False).data]
+
+
+class TestRowSplits:
+    # every pass split into ranges of rows, on private pools of 1 to 8 workers
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_every_architecture_agrees_bitwise_over_worker_counts(self, fold_workers, dtype):
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # threads interleave often
+        try:
+            for arch in sorted(A.ARCH_TABLE):
+                fold_workers(1)
+                expected = _arch_results(arch, dtype)
+                for workers in (2, 3, 8):
+                    fold_workers(workers)
+                    got = _arch_results(arch, dtype)
+                    assert len(got) == len(expected)
+                    for a, b in zip(got, expected):
+                        assert a.dtype == b.dtype
+                        npt.assert_array_equal(a, b, err_msg=f"{arch} on {workers} workers")
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_split_pass_ranges_and_broadcast_operands(self, fold_workers):
+        fold_workers(3)
+        rows = []
+        rng = np.random.default_rng(0)
+        a = rng.normal(size=(7, 5, 4)).astype(np.float32)
+
+        def multiply(x, y, out):
+            rows.append(len(out))
+            return np.multiply(x, y, out=out)
+
+        for b in (rng.normal(size=(7, 5, 4)), rng.normal(size=(1, 5, 4)), rng.normal(size=4),
+                  np.float32(2.0)):
+            b = np.asarray(b, np.float32)
+            del rows[:]
+            npt.assert_array_equal(T._ufunc(multiply, a, b), a * b)
+            assert sorted(rows) == [2, 2, 3]  # one contiguous range per worker
+
+    def test_workers_keep_the_callers_errstate(self, fold_workers):
+        fold_workers(2)
+        big = Tensor(np.full((4, 8), 3e38, np.float32))
+        with np.errstate(over="ignore"):
+            assert np.isinf((big * big).data).all()
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            big * big
+
+    def test_one_pool_for_the_fold_and_the_row_splits(self, monkeypatch):
+        made = []
+
+        class Recorded(ThreadPoolExecutor):
+            def __init__(self, *args):
+                super().__init__(*args)
+                made.append(self)
+
+        monkeypatch.setattr(T, "ThreadPoolExecutor", Recorded)
+        monkeypatch.setattr(T, "_POOL", {})
+        monkeypatch.setattr(T, "_workers", lambda: 2)
+        monkeypatch.setattr(T, "SPLIT_MIN_BYTES", 0)
+        monkeypatch.setattr(ops, "POOL_MIN_BYTES", 0)
+        before = threading.active_count()
+        rng = np.random.default_rng(1)
+        x = Tensor(rng.normal(size=(4, 6, 6, 6, 4)).astype(np.float32))
+        try:
+            out = ops.conv_spatial(x, Tensor(rng.normal(size=(3, 3, 3, 4, 4)).astype(np.float32)))
+            T.sigmoid(out * out)
+            assert len(made) == 1 and T._POOL["threads"] is made[0]
+            assert threading.active_count() - before <= T._workers()
+        finally:
+            for pool in made:
+                pool.shutdown()
+
+    def test_one_worker_never_makes_a_pool(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("one worker runs every pass inline")
+
+        monkeypatch.setattr(T, "ThreadPoolExecutor", forbidden)
+        monkeypatch.setattr(T, "_POOL", {})
+        monkeypatch.setattr(T, "_workers", lambda: 1)
+        monkeypatch.setattr(T, "SPLIT_MIN_BYTES", 0)
+        monkeypatch.setattr(ops, "POOL_MIN_BYTES", 0)
+        passes = []
+        split = T._over_rows
+
+        def counted(out, fn):
+            passes.append(out.shape)
+            split(out, fn)
+
+        monkeypatch.setattr(T, "_over_rows", counted)
+        for arch in ("convgru-resnet3d", "resnet4d"):
+            _arch_results(arch, np.float32)
+        assert passes and not T._POOL
 
 
 class TestFactorized:
@@ -870,7 +1027,7 @@ class TestBatchNorm:
     def test_sums_do_not_depend_on_blas_threads(self, rng):
         # no BLAS call and no thread: the same bits with numpy's OpenBLAS
         # at one thread (as after the fold pool pinned it) and at two
-        blas = ops._blas_threads()
+        blas = T._blas_threads()
         if blas is None:
             pytest.skip("numpy's bundled OpenBLAS is not loaded")
         before = blas[1]()

@@ -22,6 +22,21 @@ class TestElementwise:
         out = T.sigmoid(Tensor([-500.0, 500.0])).data
         assert out[0] == 0.0 and out[1] == 1.0
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_sigmoid_equals_the_two_branch_expression_bitwise(self, dtype):
+        tiny = np.finfo(dtype).smallest_subnormal
+        special = [0.0, -0.0, np.inf, -np.inf, np.nan, 88.0, -88.0, tiny, -tiny, 3 * tiny]
+        rand = np.random.default_rng(3).normal(size=997) * 10
+        a = np.concatenate([special, rand]).astype(dtype)
+        e = np.exp(-np.abs(a))
+        want = np.where(a >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+        with T.use_dtype(dtype):
+            got = T.sigmoid(Tensor(a)).data
+            zero_d = T.sigmoid(Tensor(np.asarray(a[20])))
+        assert got.dtype == want.dtype == dtype
+        npt.assert_array_equal(got.view(f"u{got.itemsize}"), want.view(f"u{want.itemsize}"))
+        assert zero_d.shape == () and zero_d.data.tobytes() == want[20].tobytes()
+
     def test_shape_mismatch_names_both_shapes(self):
         with pytest.raises(ValueError, match=r"\(2,\).*\(3,\)"):
             Tensor([1.0, 2.0]) + Tensor([1.0, 2.0, 3.0])
