@@ -135,8 +135,8 @@ def _over_samples(batch: int, z_bytes: int, out_bytes: int, scratch, run) -> Non
     the call's output.  ``scratch()`` returns (its buffers or None, views
     into them); every set is made here: a worker's own allocations come from its
     own glibc arena, which measured a higher peak RSS.  The pool is the
-    process's one (``T._pool``)."""
-    cpus, first = T._workers(), scratch()
+    process's one (``T._pool``); in a chunk of ``T._over_chunks``, none."""
+    cpus, first = T._cpus(), scratch()
     set_bytes = sum(a.nbytes for a in first[0] if a is not None)
     if not (1 < cpus <= batch and z_bytes >= POOL_MIN_BYTES
             and cpus * set_bytes <= max(2 * set_bytes, out_bytes)):

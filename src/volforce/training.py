@@ -149,7 +149,9 @@ class swap_in_ema:
 
 
 def predict(net, data, ema=None, batch_size: int = 64) -> tuple[np.ndarray, np.ndarray]:
-    """Inference over every window; returns (predictions, targets) in mN."""
+    """Inference over every window; returns (predictions, targets) in mN.
+    Each batch runs as forwards of ``T.CHUNK_SAMPLES`` samples on the pool
+    (``T._over_chunks``), so no prediction depends on the worker count."""
     mu, sd = float(net.label_norm[0]), float(net.label_norm[1])
     preds = []
     targets = []
@@ -157,8 +159,8 @@ def predict(net, data, ema=None, batch_size: int = 64) -> tuple[np.ndarray, np.n
         for start in range(0, len(data), batch_size):
             idx = range(start, min(start + batch_size, len(data)))
             x, y = data.gather(idx)
-            out = net.forward(x, training=False).data.reshape(-1)
-            preds.append(out * sd + mu)
+            outs = T._over_chunks(len(x), lambda rows: net.forward(x[rows], training=False).data)
+            preds.append(np.concatenate(outs).reshape(-1) * sd + mu)
             targets.append(y.reshape(-1))
     return np.concatenate(preds), np.concatenate(targets)
 

@@ -13,6 +13,7 @@ import pytest
 from volforce import architectures as A
 from volforce import ops
 from volforce import tensor as T
+from volforce import training as TR
 from volforce.tensor import Tensor
 
 from helpers import loop_conv_nd, rel_err, square
@@ -494,16 +495,22 @@ class TestConv4d:
 def fold_workers(monkeypatch):
     """Sets the pool's worker count, with no size cutoff for the fold or the
     row splits, on a pool of its own; the list it returns records the
-    sample ranges of each use by the fold."""
+    sample ranges of each use by the fold.  Work that a pool thread hands
+    to the pool raises, where on a busy pool it would wait forever."""
     used = []
 
     class Counted(ThreadPoolExecutor):
+        def submit(self, *args, **kwargs):  # map submits through this too
+            if threading.current_thread().name.startswith("fold_workers"):
+                raise AssertionError("a pool thread dispatched work to its own pool")
+            return super().submit(*args, **kwargs)
+
         def map(self, *args):
             if len(args) == 3:  # the fold's (run, ranges, scratch sets)
                 used.append(args[1])  # keeping the scratch sets would hold them
             return super().map(*args)
 
-    pool = Counted(2)
+    pool = Counted(2, thread_name_prefix="fold_workers")
     monkeypatch.setattr(ops, "POOL_MIN_BYTES", 0)
     monkeypatch.setattr(T, "SPLIT_MIN_BYTES", 0)
     monkeypatch.setattr(T, "_POOL", {"threads": pool})
@@ -618,18 +625,27 @@ class TestFoldPool:
         assert rel_err(fast, ops.conv_nd_reference(x, K)) <= 1e-5
 
 
-def _arch_results(arch, dtype):
-    """Training output, gradients and running statistics, then the eval
-    output, of a tiny ``arch`` at batch 3 with seeded weights and inputs."""
+# one sample's input shape for each representation of a tiny architecture
+SAMPLE_SHAPES = {"4d-st": (2, 8, 8, 8, 1), "ps-4d-st": (2, 8, 8, 8, 8), "3d-st": (2, 8, 8, 1),
+                 "3d-s": (8, 8, 8, 1), "2d-s": (8, 8, 1)}
+
+
+def _tiny_net(arch, dtype):
+    """A tiny ``arch`` with seeded weights, and its representation."""
     rep = A.ARCH_TABLE[arch][2][0]
-    rng = np.random.default_rng(5)
     with T.use_dtype(dtype):
         net = A.build(A.config_from_arch(arch, rep, history=2, base_channels=4, n_blocks=2,
                                          spatial_output_stride=2), seed=0)
-        shape = {"4d-st": (3, 2, 8, 8, 8, 1), "ps-4d-st": (3, 2, 8, 8, 8, 8),
-                 "3d-st": (3, 2, 8, 8, 1), "3d-s": (3, 8, 8, 8, 1),
-                 "2d-s": (3, 8, 8, 1)}[rep]
-        x = Tensor(rng.normal(size=shape))
+    return net, rep
+
+
+def _arch_results(arch, dtype):
+    """Training output, gradients and running statistics, then the eval
+    output, of a tiny ``arch`` at batch 3 with seeded weights and inputs."""
+    net, rep = _tiny_net(arch, dtype)
+    rng = np.random.default_rng(5)
+    with T.use_dtype(dtype):
+        x = Tensor(rng.normal(size=(3,) + SAMPLE_SHAPES[rep]))
         out = net.forward(x, training=True)
         T.backward(T.tsum(out * Tensor(rng.normal(size=out.shape))))
         results = [out.data] + [p.grad for _, p in net.named_params()]
@@ -727,6 +743,101 @@ class TestRowSplits:
         for arch in ("convgru-resnet3d", "resnet4d"):
             _arch_results(arch, np.float32)
         assert passes and not T._POOL
+
+
+class _Windows:
+    """Seeded random windows, standing in for ``reps.WindowedData``."""
+
+    def __init__(self, rep, n, dtype):
+        self.x = np.random.default_rng(6).normal(size=(n,) + SAMPLE_SHAPES[rep]).astype(dtype)
+
+    def __len__(self):
+        return len(self.x)
+
+    def gather(self, indices):
+        indices = list(indices)
+        return self.x[indices], np.zeros((len(indices), 1))
+
+
+def _predict(arch, dtype, n):
+    """``predict`` of a tiny ``arch`` over n windows, the net and the windows."""
+    net, rep = _tiny_net(arch, dtype)
+    net.label_norm[:] = (1.5, 0.25)
+    data = _Windows(rep, n, dtype)
+    with T.use_dtype(dtype):
+        preds, _ = TR.predict(net, data)
+    assert preds.dtype == dtype and preds.shape == (n,)
+    return preds, net, data
+
+
+class TestChunkedPredict:
+    # predict runs each batch as chunks of CHUNK_SAMPLES, on the pool
+    PARTIAL = 2 * T.CHUNK_SAMPLES + 3  # a partial last chunk
+
+    def test_chunks_dispatch_no_nested_work(self, fold_workers, monkeypatch):
+        # the fixture's pool raises on work submitted from its own threads
+        fold_workers(2)
+        threads = []
+        forward = A.Network.forward
+
+        def recorded(net, batch, training=False):
+            threads.append(threading.current_thread())
+            return forward(net, batch, training)
+
+        monkeypatch.setattr(A.Network, "forward", recorded)
+        for arch in sorted(A.ARCH_TABLE):
+            del threads[:]
+            _predict(arch, np.float32, self.PARTIAL)
+            # the three chunks ran on the pool
+            assert len(threads) == 3 and threading.current_thread() not in threads, arch
+
+    def test_one_worker_runs_the_chunks_in_order_without_a_pool(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("one worker runs every chunk inline")
+
+        monkeypatch.setattr(T, "ThreadPoolExecutor", forbidden)
+        monkeypatch.setattr(T, "_POOL", {})
+        monkeypatch.setattr(T, "_workers", lambda: 1)
+        monkeypatch.setattr(T, "SPLIT_MIN_BYTES", 0)
+        monkeypatch.setattr(ops, "POOL_MIN_BYTES", 0)
+        seen = []
+        forward = A.Network.forward
+
+        def recorded(net, batch, training=False):
+            seen.append(batch[:, 0].tobytes())
+            return forward(net, batch, training)
+
+        monkeypatch.setattr(A.Network, "forward", recorded)
+        for arch in sorted(A.ARCH_TABLE):
+            del seen[:]
+            _, _, data = _predict(arch, np.float32, self.PARTIAL)
+            assert seen == [data.x[s:s + T.CHUNK_SAMPLES, 0].tobytes()
+                            for s in range(0, self.PARTIAL, T.CHUNK_SAMPLES)]
+        assert not T._POOL
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_predictions_do_not_depend_on_the_worker_count(self, fold_workers, dtype):
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # threads interleave often
+        try:
+            for arch in sorted(A.ARCH_TABLE):
+                fold_workers(1)
+                expected = _predict(arch, dtype, self.PARTIAL)[0]
+                for workers in (2, 3, 4, 8):
+                    fold_workers(workers)
+                    npt.assert_array_equal(_predict(arch, dtype, self.PARTIAL)[0], expected,
+                                           err_msg=f"{arch} on {workers} workers")
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_whole_chunks_equal_one_unchunked_forward(self, fold_workers, dtype):
+        fold_workers(2)
+        for arch in sorted(A.ARCH_TABLE):
+            preds, net, data = _predict(arch, dtype, 3 * T.CHUNK_SAMPLES)
+            with T.use_dtype(dtype), T.no_grad():
+                whole = net.forward(data.x, training=False).data.reshape(-1) * 0.25 + 1.5
+            npt.assert_array_equal(preds, whole, err_msg=arch)
 
 
 class TestFactorized:

@@ -156,6 +156,16 @@ class TestBackward:
         npt.assert_array_equal(a.grad, np.broadcast_to(np.arange(1.0, 13.0), a.shape))
         assert peak < 1.5 * a.data.nbytes  # the gradient itself plus the slices' own
 
+    @pytest.mark.parametrize("shape,index", [((3,), 0), ((2, 3), (1, 0)), ((2, 3), (-2, 0))])
+    def test_one_element_index_is_zero_d_and_routes_its_gradient(self, shape, index):
+        a = Tensor(np.arange(6.0)[:np.prod(shape)].reshape(shape) + 1.0, requires_grad=True)
+        picked = a[index]
+        assert picked.shape == () and picked.item() == a.data[index]
+        T.backward(T.tsum(picked * Tensor(3.0)))
+        want = np.zeros(shape, np.float32)
+        want[index] = 3.0
+        npt.assert_array_equal(a.grad, want)
+
     def test_owned_first_gradient_is_kept_and_later_ones_add_into_it(self):
         t = Tensor(np.zeros((2, 3), np.float32), requires_grad=True)
         buf = np.ones(6, np.float32)
