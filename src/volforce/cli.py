@@ -225,7 +225,7 @@ def _train_one(settings, p: int, f: int, splits=None, quiet=False):
     bs_default, lr_default = training.defaults_for(settings["rep"])
     cfg = training.TrainConfig(
         epochs=settings["epochs"],
-        batch_size=settings["batch_size"] or bs_default,
+        batch_size=settings["batch_size"] if settings["batch_size"] is not None else bs_default,
         learning_rate=settings["lr"] if settings["lr"] is not None else lr_default,
         ema_decay=settings["ema_decay"],
         seed=settings["seed"])

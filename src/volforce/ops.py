@@ -38,12 +38,12 @@ ReLU) is a single graph node that keeps two arrays the size of its input.
 It runs on a view of n rows of c channels as rows of up to ``NORM_ROW``
 elements: its elementwise passes are the op-by-op expression's, bit for
 bit, and its channel sums follow a lane order fixed by (n, c) alone, with
-no thread and no BLAS call.  Its elementwise passes run by ranges of those
-rows on the pool once they write ``tensor.SPLIT_MIN_BYTES``.
+no thread and no BLAS call.
 """
 
 from __future__ import annotations
 
+import contextvars
 from functools import lru_cache
 from itertools import product as iproduct
 from typing import Callable
@@ -135,7 +135,8 @@ def _over_samples(batch: int, z_bytes: int, out_bytes: int, scratch, run) -> Non
     the call's output.  ``scratch()`` returns (its buffers or None, views
     into them); every set is made here: a worker's own allocations come from its
     own glibc arena, which measured a higher peak RSS.  The pool is the
-    process's one (``T._pool``); in a chunk of ``T._over_chunks``, none."""
+    process's one (``T._pool``); in a chunk of ``T._over_chunks``, none.
+    Each range runs in its own copy of the caller's context (np.errstate)."""
     cpus, first = T._cpus(), scratch()
     set_bytes = sum(a.nbytes for a in first[0] if a is not None)
     if not (1 < cpus <= batch and z_bytes >= POOL_MIN_BYTES
@@ -143,7 +144,8 @@ def _over_samples(batch: int, z_bytes: int, out_bytes: int, scratch, run) -> Non
         return run(range(batch), first)
     ranges = [range(w * batch // cpus, (w + 1) * batch // cpus) for w in range(cpus)]
     sets = [first] + [scratch() for _ in ranges[1:]]
-    list(T._pool().map(run, ranges, sets))
+    contexts = [contextvars.copy_context() for _ in ranges]
+    list(T._pool().map(lambda context, *args: context.run(run, *args), contexts, ranges, sets))
 
 
 @lru_cache(maxsize=256)
@@ -527,10 +529,9 @@ def batch_norm(x: Tensor, state: BatchNorm, training: bool, slot: int = 0,
 
     Every pass runs on the wide view [n/m, m*c] (``_lanes``), with the
     per-channel vectors tiled m times, so each elementwise value is the
-    op-by-op expression's, bit for bit.  The passes between two sums are one
-    ``T._over_rows`` call, into buffers made here.  The channel sums (the
-    mean, the variance, dbeta and dgamma) are ``_channel_sums``' lane
-    order, in the calling thread; when n*c <= ``NORM_ROW``, m = n and that
+    op-by-op expression's, bit for bit, written into buffers made here.
+    The channel sums (the mean, the variance, dbeta and dgamma) are
+    ``_channel_sums``' lane order; when n*c <= ``NORM_ROW``, m = n and that
     is the plain per-channel order.
     """
     c = state.channels
@@ -551,12 +552,8 @@ def batch_norm(x: Tensor, state: BatchNorm, training: bool, slot: int = 0,
             raise ValueError("batch norm in training mode needs batch size >= 2")
         mu = np.tile(_channel_sums(xw, c) * inv_n, m)
         x_hat = np.empty(xw.shape, np.result_type(xw, mu))
-        spent = np.empty_like(x_hat)
-
-        def centre(r):  # spent is (x - mu) ** 2.0, bit for bit
-            np.multiply(np.subtract(xw[r], mu, out=x_hat[r]), x_hat[r], out=spent[r])
-
-        T._over_rows(x_hat, centre)
+        spent = np.empty_like(x_hat)  # (x - mu) ** 2.0, bit for bit
+        np.multiply(np.subtract(xw, mu, out=x_hat), x_hat, out=spent)
         var = _channel_sums(spent, c) * inv_n
         running_mean += state.momentum * (mu[:c] - running_mean)
         running_var += state.momentum * (var - running_var)
@@ -572,16 +569,12 @@ def batch_norm(x: Tensor, state: BatchNorm, training: bool, slot: int = 0,
     if np.result_type(x_hat, gamma.data, beta.data) != x_hat.dtype:
         spent = None  # gamma and beta widen the dtype: the output is a new array
     out = spent if spent is not None else np.empty(x_hat.shape, np.result_type(x_hat, gamma_w))
-
-    def scale(r):
-        if not training:
-            np.subtract(xw[r], mu, out=x_hat[r])
-        np.divide(x_hat[r], sigma_w, out=x_hat[r])
-        np.add(np.multiply(x_hat[r], gamma_w, out=out[r]), beta_w, out=out[r])
-        if relu:
-            np.maximum(out[r], 0, out=out[r])
-
-    T._over_rows(out, scale)
+    if not training:
+        np.subtract(xw, mu, out=x_hat)
+    np.divide(x_hat, sigma_w, out=x_hat)
+    np.add(np.multiply(x_hat, gamma_w, out=out), beta_w, out=out)
+    if relu:
+        np.maximum(out, 0, out=out)
     out = out.reshape(x.shape)
 
     def backward_fn(g):
@@ -589,26 +582,19 @@ def batch_norm(x: Tensor, state: BatchNorm, training: bool, slot: int = 0,
         # views are made here: one kept by the closure is one more array
         gw, outw = g.reshape(x_hat.shape), out.reshape(x_hat.shape)
         prod = np.empty(x_hat.shape, np.result_type(gw, x_hat))
-
-        def mask_and_prod(r):  # g *= (out > 0), the mask as 1.0 and 0.0 in prod
-            if relu:
-                np.multiply(gw[r], np.greater(outw[r], 0, out=prod[r]), out=gw[r])
-            np.multiply(gw[r], x_hat[r], out=prod[r])
-
-        T._over_rows(gw, mask_and_prod)
+        if relu:  # g *= (out > 0), the mask as 1.0 and 0.0 in prod
+            np.multiply(gw, np.greater(outw, 0, out=prod), out=gw)
+        np.multiply(gw, x_hat, out=prod)
         dbeta = _channel_sums(gw, c)
         dgamma = _channel_sums(prod, c)
         if x.requires_grad:
             mean_g, mean_gx, gain = (np.tile(v, m) for v in
                                      (dbeta * inv_n, dgamma * inv_n, gamma.data / sigma))
-
-            def dx(r):  # gamma/sigma * (g - mean g - x_hat * mean(g x_hat)) in training
-                if training:
-                    np.subtract(gw[r], mean_g, out=gw[r])
-                    np.subtract(gw[r], np.multiply(x_hat[r], mean_gx, out=prod[r]), out=gw[r])
-                np.multiply(gw[r], gain, out=gw[r])
-
-            T._over_rows(gw, dx)
+            # dx = gamma/sigma * (g - mean g - x_hat * mean(g x_hat)) in training
+            if training:
+                np.subtract(gw, mean_g, out=gw)
+                np.subtract(gw, np.multiply(x_hat, mean_gx, out=prod), out=gw)
+            np.multiply(gw, gain, out=gw)
             T._accumulate(x, g, owned=True)
         if gamma.requires_grad:
             T._accumulate(gamma, dgamma)

@@ -9,13 +9,11 @@ updates on parameter data.
 ``backward`` accumulates into ``Tensor.grad``; the training loop resets
 gradients explicitly once per step via ``zero_grads``.
 
-The process's one worker pool (``_pool``) runs the convolution fold's
-samples (``ops._over_samples``) and, by ranges of rows (``_over_rows``),
-the elementwise passes that write ``SPLIT_MIN_BYTES`` or more.  Buffers
-come from the calling thread and every element sees the same ufuncs on
-any thread, so no result depends on the worker count.  ``training.predict``
-runs its forwards on it by chunks of samples (``_over_chunks``), with every
-op inside a chunk inline.
+The process's one worker pool (``_pool``) runs two kinds of work: the
+convolution fold's ranges of samples (``ops._over_samples``) and
+``training.predict``'s chunks of samples (``_over_chunks``), with every op
+inside a chunk inline.  Elementwise passes always run inline.  No result
+depends on the worker count.
 """
 
 from __future__ import annotations
@@ -186,7 +184,7 @@ def _blas_threads():
 
 def _workers() -> int:
     """Threads of the pool: one per usable CPU when numpy's OpenBLAS can be
-    pinned to one thread, else 1 (every pass inline).  Without
+    pinned to one thread, else 1 (everything inline).  Without
     ``os.sched_getaffinity`` (Windows, macOS) every CPU counts."""
     if not _blas_threads():
         return 1
@@ -212,35 +210,9 @@ def _pool() -> ThreadPoolExecutor:
     return _POOL["threads"]
 
 
-# A pass that writes fewer bytes runs inline.  Split on two threads against
-# inline (2-CPU host, float32, medians of 41 alternating calls, two runs):
-# at 512 KB every pass was slower (0.56-0.92x); at 1 MiB a sigmoid 1.25-1.46x,
-# an eval-mode norm 1.08-1.23x and a strided channel copy 1.02-1.25x, while
-# a multiply (0.70-0.75x) and a tanh (0.59-0.78x) break even near 2 MiB.
-SPLIT_MIN_BYTES = 1 << 20
-
-
 def _cpus() -> int:
     """CPUs a dispatch may use: 1 in a chunk, which must not wait on its pool."""
     return 1 if getattr(_CHUNK, "running", False) else _workers()
-
-
-def _over_rows(out: np.ndarray, fn: Callable[[object], None]) -> None:
-    """``fn(rows)`` for a pass writing ``out``: ``fn(...)`` inline below
-    ``SPLIT_MIN_BYTES``, else one slice of out's leading axis per usable CPU,
-    the first in this thread.  fn writes only views of the caller's buffers."""
-    if out.nbytes >= SPLIT_MIN_BYTES and out.ndim:
-        n = out.shape[0]
-        cpus = min(_cpus(), n)
-        if cpus > 1:
-            rows = [slice(w * n // cpus, (w + 1) * n // cpus) for w in range(cpus)]
-            # each worker runs in a copy of the caller's context (np.errstate)
-            rest = [_pool().submit(contextvars.copy_context().run, fn, r) for r in rows[1:]]
-            fn(rows[0])
-            for f in rest:
-                f.result()
-            return
-    fn(...)
 
 
 # Samples per chunk.  Batch-64 predict passes (2 CPUs, float32, median of 7):
@@ -260,34 +232,13 @@ def _run_chunk(fn, rows):
 def _over_chunks(n: int, fn: Callable[[slice], object]) -> list:
     """``[fn(rows) ...]`` over n samples' consecutive chunks of ``CHUNK_SAMPLES``:
     one pool task per chunk, in a copy of the caller's context, or in order
-    here on one CPU.  fn allocates in the workers, unlike ``_over_rows``'
-    passes, yet a chunk's working set is small and peak RSS fell."""
+    here on one CPU.  fn allocates in the workers, unlike the fold's ranges,
+    yet a chunk's working set is small and peak RSS fell."""
     chunks = [slice(s, min(s + CHUNK_SAMPLES, n)) for s in range(0, n, CHUNK_SAMPLES)]
     if len(chunks) < 2 or _cpus() < 2:
         return [fn(rows) for rows in chunks]
     tasks = [_pool().submit(contextvars.copy_context().run, _run_chunk, fn, r) for r in chunks]
     return [t.result() for t in tasks]
-
-
-def _rows(a, rows, ndim: int):
-    """Operand ``a``'s part for output ``rows``: all of a where it broadcasts."""
-    return a[rows] if np.ndim(a) == ndim and a.shape[:1] != (1,) else a
-
-
-def _ufunc(f, *args) -> np.ndarray:
-    """``f(*args)``, split by rows when an operand has ``SPLIT_MIN_BYTES``."""
-    if max(a.nbytes for a in args) < SPLIT_MIN_BYTES:
-        return f(*args)
-    out = np.empty(np.broadcast_shapes(*(a.shape for a in args)), np.result_type(*args))
-    _over_rows(out, lambda r: f(*(_rows(a, r, out.ndim) for a in args), out=out[r]))
-    return out
-
-
-def _copy(src: np.ndarray) -> np.ndarray:
-    """A C-contiguous copy of ``src``, split by rows with ``_over_rows``."""
-    out = np.empty(src.shape, src.dtype)
-    _over_rows(out, lambda r: np.copyto(out[r], src[r]))
-    return out
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -313,7 +264,7 @@ def _check_broadcast(a: Tensor, b: Tensor, op: str) -> None:
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     _check_broadcast(a, b, "add")
-    out_data = _ufunc(np.add, a.data, b.data)
+    out_data = a.data + b.data
 
     def backward_fn(g):
         if a.requires_grad:
@@ -326,26 +277,26 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     _check_broadcast(a, b, "sub")
-    out_data = _ufunc(np.subtract, a.data, b.data)
+    out_data = a.data - b.data
 
     def backward_fn(g):
         if a.requires_grad:
             _accumulate(a, _unbroadcast(g, a.shape))
         if b.requires_grad:
-            _accumulate(b, _unbroadcast(_ufunc(np.negative, g), b.shape), owned=True)
+            _accumulate(b, _unbroadcast(-g, b.shape), owned=True)
 
     return _make(out_data, (a, b), backward_fn)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     _check_broadcast(a, b, "mul")
-    out_data = _ufunc(np.multiply, a.data, b.data)
+    out_data = a.data * b.data
 
     def backward_fn(g):
         if a.requires_grad:
-            _accumulate(a, _unbroadcast(_ufunc(np.multiply, g, b.data), a.shape), owned=True)
+            _accumulate(a, _unbroadcast(g * b.data, a.shape), owned=True)
         if b.requires_grad:
-            _accumulate(b, _unbroadcast(_ufunc(np.multiply, g, a.data), b.shape), owned=True)
+            _accumulate(b, _unbroadcast(g * a.data, b.shape), owned=True)
 
     return _make(out_data, (a, b), backward_fn)
 
@@ -357,40 +308,27 @@ def sigmoid(a: Tensor) -> Tensor:
     # the output before the scratch e: with glibc's heap this order measured
     # half the page faults of a batch-64 predict pass and of a training step
     out_data, e = np.empty_like(x), np.empty_like(x)
-
-    def forward(r):
-        np.negative(np.abs(x[r], out=e[r]), out=e[r])
-        np.exp(e[r], out=e[r])
-        np.greater_equal(x[r], 0, out=out_data[r])
-        np.maximum(e[r], out_data[r], out=out_data[r])
-        np.divide(out_data[r], np.add(1.0, e[r], out=e[r]), out=out_data[r])
-
-    _over_rows(out_data, forward)
+    np.negative(np.abs(x, out=e), out=e)
+    np.exp(e, out=e)
+    np.greater_equal(x, 0, out=out_data)
+    np.maximum(e, out_data, out=out_data)
+    np.divide(out_data, np.add(1.0, e, out=e), out=out_data)
 
     def backward_fn(g):  # g * out * (1 - out)
         da, rest = np.empty_like(g), np.empty_like(out_data)
-
-        def grad(r):
-            np.multiply(g[r], out_data[r], out=da[r])
-            np.multiply(da[r], np.subtract(1.0, out_data[r], out=rest[r]), out=da[r])
-
-        _over_rows(da, grad)
+        np.multiply(g, out_data, out=da)
+        np.multiply(da, np.subtract(1.0, out_data, out=rest), out=da)
         _accumulate(a, da, owned=True)
 
     return _make(out_data, (a,), backward_fn)
 
 
 def tanh(a: Tensor) -> Tensor:
-    out_data = _ufunc(np.tanh, a.data)
+    out_data = np.tanh(a.data)
 
     def backward_fn(g):  # g * (1 - out * out)
-        da = np.empty_like(g)
-
-        def grad(r):
-            np.multiply(out_data[r], out_data[r], out=da[r])
-            np.multiply(g[r], np.subtract(1.0, da[r], out=da[r]), out=da[r])
-
-        _over_rows(da, grad)
+        da = np.multiply(out_data, out_data, out=np.empty_like(g))
+        np.multiply(g, np.subtract(1.0, da, out=da), out=da)
         _accumulate(a, da, owned=True)
 
     return _make(out_data, (a,), backward_fn)
@@ -449,15 +387,14 @@ def getitem(a: Tensor, index) -> Tensor:
     if not isinstance(a.data[index], np.ndarray):  # one element: a 0-d view, not a scalar
         index = np.index_exp[index] + (...,)  # (no index holding ... gives a scalar)
     view = a.data[index]
-    out_data = view if view.flags.c_contiguous else _copy(view)
+    out_data = view if view.flags.c_contiguous else view.copy()
 
     def backward_fn(g):
         # accumulate in place, so slices of one tensor share one gradient buffer
         if a.grad is None:
-            a.grad = np.empty_like(a.data)
-            _over_rows(a.grad, lambda r: a.grad[r].fill(0))
+            a.grad = np.zeros_like(a.data)
         dst = a.grad[index]
-        _over_rows(dst, lambda r: np.add(dst[r], g[r], out=dst[r]))
+        dst += g
 
     return _make(out_data, (a,), backward_fn)
 
@@ -501,9 +438,9 @@ def _accumulate(t: Tensor, g: np.ndarray, owned: bool = False) -> None:
     if t.grad is None and owned:
         t.grad = g
     elif t.grad is None:
-        t.grad = _copy(g)
+        t.grad = g.copy()
     else:
-        _over_rows(t.grad, lambda r: np.add(t.grad[r], g[r], out=t.grad[r]))
+        t.grad += g
 
 
 def _toposort(root: Tensor) -> list[Tensor]:

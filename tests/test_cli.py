@@ -134,7 +134,8 @@ class TestTrain:
         assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("flag,value,text", [
-        ("--batch-size", "1", "batch size"), ("--ema-decay", "5", "EMA decay"),
+        ("--batch-size", "1", "batch size"), ("--batch-size", "0", "batch size"),
+        ("--ema-decay", "5", "EMA decay"),
         ("--ema-decay", "-0.1", "EMA decay"), ("--ema-decay", "nan", "EMA decay")])
     def test_bad_train_settings_exit_with_one_error_line(self, tmp_path, capsys,
                                                          flag, value, text):
@@ -320,6 +321,21 @@ class TestSweep:
         assert lines == [metrics.MetricsReport.csv_header()]
         assert (tmp_path / "sw" / "sweep.svg").read_text().startswith("<svg")
 
+    @pytest.mark.parametrize("batch_size", ["0", "1"])
+    def test_bad_batch_size_fails_every_cell(self, tmp_path, capsys, batch_size):
+        ds = _gen(tmp_path)
+        capsys.readouterr()
+        rc = cli.main(["sweep", "--dataset", str(ds), "--arch", "resnet2d-s",
+                       "--rep", "2d-s", "--history", "2", "--horizon", "0,1",
+                       "--epochs", "1", *TINY, "--batch-size", batch_size,
+                       "--out", str(tmp_path / "sw")])
+        assert rc == 1
+        reason = "need epochs >= 1 and batch size >= 2 (batch norm needs 2 samples)"
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: p=2 f={f}: {reason}" for f in (0, 1)]
+        lines = (tmp_path / "sw" / "sweep.csv").read_text().splitlines()
+        assert lines == [metrics.MetricsReport.csv_header()]
+
     def test_parallel_jobs_after_the_fold_pool_ran(self, tmp_path):
         # the forked sweep workers inherit a copy of the parent's fold pool,
         # which has no threads.  A subprocess in its own session with a
@@ -331,7 +347,7 @@ class TestSweep:
             "import numpy as np\n"
             "from volforce import cli, ops, tensor\n"
             "from volforce.tensor import Tensor\n"
-            "tensor._workers, tensor.SPLIT_MIN_BYTES, ops.POOL_MIN_BYTES = (lambda: 2), 0, 0\n"
+            "tensor._workers, ops.POOL_MIN_BYTES = (lambda: 2), 0\n"
             "ops.conv_spatial(Tensor(np.ones((2, 8, 8, 8, 4), np.float32)),\n"
             "                 Tensor(np.ones((3, 3, 3, 4, 4), np.float32)))\n"
             "assert tensor._POOL\n"

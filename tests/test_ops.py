@@ -493,9 +493,9 @@ class TestConv4d:
 
 @pytest.fixture
 def fold_workers(monkeypatch):
-    """Sets the pool's worker count, with no size cutoff for the fold or the
-    row splits, on a pool of its own; the list it returns records the
-    sample ranges of each use by the fold.  Work that a pool thread hands
+    """Sets the pool's worker count, with no size cutoff for the fold, on a
+    pool of its own; the list it returns records the sample ranges of each
+    use by the fold.  Work that a pool thread hands
     to the pool raises, where on a busy pool it would wait forever."""
     used = []
 
@@ -506,13 +506,12 @@ def fold_workers(monkeypatch):
             return super().submit(*args, **kwargs)
 
         def map(self, *args):
-            if len(args) == 3:  # the fold's (run, ranges, scratch sets)
-                used.append(args[1])  # keeping the scratch sets would hold them
+            if len(args) == 4:  # the fold's (run, contexts, ranges, scratch sets)
+                used.append(args[2])  # keeping the scratch sets would hold them
             return super().map(*args)
 
     pool = Counted(2, thread_name_prefix="fold_workers")
     monkeypatch.setattr(ops, "POOL_MIN_BYTES", 0)
-    monkeypatch.setattr(T, "SPLIT_MIN_BYTES", 0)
     monkeypatch.setattr(T, "_POOL", {"threads": pool})
 
     def set_workers(n):
@@ -534,6 +533,68 @@ def _fold_results(seed, case, dtype):
         out = ops.conv_nd(x, K, stride, temporal)
         T.backward(T.tsum(out * Tensor(rng.normal(size=out.shape))))
     return out.data, x.grad, K.grad
+
+
+# one sample's input shape for each representation of a tiny architecture
+SAMPLE_SHAPES = {"4d-st": (2, 8, 8, 8, 1), "ps-4d-st": (2, 8, 8, 8, 8), "3d-st": (2, 8, 8, 1),
+                 "3d-s": (8, 8, 8, 1), "2d-s": (8, 8, 1)}
+
+
+def _tiny_net(arch, dtype):
+    """A tiny ``arch`` with seeded weights, and its representation."""
+    rep = A.ARCH_TABLE[arch][2][0]
+    with T.use_dtype(dtype):
+        net = A.build(A.config_from_arch(arch, rep, history=2, base_channels=4, n_blocks=2,
+                                         spatial_output_stride=2), seed=0)
+    return net, rep
+
+
+def _arch_results(arch, dtype):
+    """Training output, gradients and running statistics, then the eval
+    output, of a tiny ``arch`` at batch 3 with seeded weights and inputs."""
+    net, rep = _tiny_net(arch, dtype)
+    rng = np.random.default_rng(5)
+    with T.use_dtype(dtype):
+        x = Tensor(rng.normal(size=(3,) + SAMPLE_SHAPES[rep]))
+        out = net.forward(x, training=True)
+        T.backward(T.tsum(out * Tensor(rng.normal(size=out.shape))))
+        results = [out.data] + [p.grad for _, p in net.named_params()]
+        results += [b.copy() for _, b in net.named_buffers()]
+        return results + [net.forward(x, training=False).data]
+
+
+class _Windows:
+    """Seeded random windows, standing in for ``reps.WindowedData``."""
+
+    def __init__(self, rep, n, dtype):
+        self.x = np.random.default_rng(6).normal(size=(n,) + SAMPLE_SHAPES[rep]).astype(dtype)
+
+    def __len__(self):
+        return len(self.x)
+
+    def gather(self, indices):
+        indices = list(indices)
+        return self.x[indices], np.zeros((len(indices), 1))
+
+
+def _predict(arch, dtype, n):
+    """``predict`` of a tiny ``arch`` over n windows, the net and the windows."""
+    net, rep = _tiny_net(arch, dtype)
+    net.label_norm[:] = (1.5, 0.25)
+    data = _Windows(rep, n, dtype)
+    with T.use_dtype(dtype):
+        preds, _ = TR.predict(net, data)
+    assert preds.dtype == dtype and preds.shape == (n,)
+    return preds, net, data
+
+
+def _recorded(calls, name, fn):
+    """fn, appending (name, whether the main thread calls) to calls at each call."""
+    def call(*args):
+        calls.append((name, threading.current_thread() is threading.main_thread()))
+        return fn(*args)
+
+    return call
 
 
 class TestFoldPool:
@@ -596,7 +657,6 @@ class TestFoldPool:
             raise AssertionError("no pool without an OpenBLAS thread setter")
 
         monkeypatch.setattr(ops, "POOL_MIN_BYTES", 0)
-        monkeypatch.setattr(T, "SPLIT_MIN_BYTES", 0)
         monkeypatch.setattr(T, "_blas_threads", lambda: None)
         monkeypatch.setattr(T, "_POOL", {})
         monkeypatch.setattr(T, "ThreadPoolExecutor", forbidden)
@@ -624,37 +684,8 @@ class TestFoldPool:
         fast = ops.conv_spatial(Tensor(x), Tensor(K)).data
         assert rel_err(fast, ops.conv_nd_reference(x, K)) <= 1e-5
 
-
-# one sample's input shape for each representation of a tiny architecture
-SAMPLE_SHAPES = {"4d-st": (2, 8, 8, 8, 1), "ps-4d-st": (2, 8, 8, 8, 8), "3d-st": (2, 8, 8, 1),
-                 "3d-s": (8, 8, 8, 1), "2d-s": (8, 8, 1)}
-
-
-def _tiny_net(arch, dtype):
-    """A tiny ``arch`` with seeded weights, and its representation."""
-    rep = A.ARCH_TABLE[arch][2][0]
-    with T.use_dtype(dtype):
-        net = A.build(A.config_from_arch(arch, rep, history=2, base_channels=4, n_blocks=2,
-                                         spatial_output_stride=2), seed=0)
-    return net, rep
-
-
-def _arch_results(arch, dtype):
-    """Training output, gradients and running statistics, then the eval
-    output, of a tiny ``arch`` at batch 3 with seeded weights and inputs."""
-    net, rep = _tiny_net(arch, dtype)
-    rng = np.random.default_rng(5)
-    with T.use_dtype(dtype):
-        x = Tensor(rng.normal(size=(3,) + SAMPLE_SHAPES[rep]))
-        out = net.forward(x, training=True)
-        T.backward(T.tsum(out * Tensor(rng.normal(size=out.shape))))
-        results = [out.data] + [p.grad for _, p in net.named_params()]
-        results += [b.copy() for _, b in net.named_buffers()]
-        return results + [net.forward(x, training=False).data]
-
-
-class TestRowSplits:
-    # every pass split into ranges of rows, on private pools of 1 to 8 workers
+    # every fold call on the pool where each worker gets a sample, on
+    # private pools of 1 to 8 workers
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_every_architecture_agrees_bitwise_over_worker_counts(self, fold_workers, dtype):
         interval = sys.getswitchinterval()
@@ -673,33 +704,19 @@ class TestRowSplits:
         finally:
             sys.setswitchinterval(interval)
 
-    def test_split_pass_ranges_and_broadcast_operands(self, fold_workers):
-        fold_workers(3)
-        rows = []
-        rng = np.random.default_rng(0)
-        a = rng.normal(size=(7, 5, 4)).astype(np.float32)
-
-        def multiply(x, y, out):
-            rows.append(len(out))
-            return np.multiply(x, y, out=out)
-
-        for b in (rng.normal(size=(7, 5, 4)), rng.normal(size=(1, 5, 4)), rng.normal(size=4),
-                  np.float32(2.0)):
-            b = np.asarray(b, np.float32)
-            del rows[:]
-            npt.assert_array_equal(T._ufunc(multiply, a, b), a * b)
-            assert sorted(rows) == [2, 2, 3]  # one contiguous range per worker
-
     def test_workers_keep_the_callers_errstate(self, fold_workers):
-        fold_workers(2)
-        big = Tensor(np.full((4, 8), 3e38, np.float32))
+        # every output of this call overflows float32; its samples run on 2 workers
+        used = fold_workers(2)
+        x = Tensor(np.full((4, 4, 4, 4, 2), 3e38, np.float32))
+        K = Tensor(np.ones((3, 3, 3, 2, 2), np.float32))
         with np.errstate(over="ignore"):
-            assert np.isinf((big * big).data).all()
+            assert np.isinf(ops.conv_spatial(x, K).data).all()
         with np.errstate(over="raise"), pytest.raises(FloatingPointError):
-            big * big
+            ops.conv_spatial(x, K)
+        assert len(used) == 2
 
-    def test_one_pool_for_the_fold_and_the_row_splits(self, monkeypatch):
-        made = []
+    def test_one_pool_for_the_fold_and_the_chunks(self, monkeypatch):
+        made, ran = [], []
 
         class Recorded(ThreadPoolExecutor):
             def __init__(self, *args):
@@ -709,14 +726,20 @@ class TestRowSplits:
         monkeypatch.setattr(T, "ThreadPoolExecutor", Recorded)
         monkeypatch.setattr(T, "_POOL", {})
         monkeypatch.setattr(T, "_workers", lambda: 2)
-        monkeypatch.setattr(T, "SPLIT_MIN_BYTES", 0)
         monkeypatch.setattr(ops, "POOL_MIN_BYTES", 0)
+        monkeypatch.setattr(ops, "_over_samples", _recorded(ran, "fold", ops._over_samples))
+        monkeypatch.setattr(T, "_run_chunk", _recorded(ran, "chunk", T._run_chunk))
         before = threading.active_count()
         rng = np.random.default_rng(1)
         x = Tensor(rng.normal(size=(4, 6, 6, 6, 4)).astype(np.float32))
         try:
-            out = ops.conv_spatial(x, Tensor(rng.normal(size=(3, 3, 3, 4, 4)).astype(np.float32)))
-            T.sigmoid(out * out)
+            ops.conv_spatial(x, Tensor(rng.normal(size=(3, 3, 3, 4, 4)).astype(np.float32)))
+            assert ran == [("fold", True)] and T._POOL
+            del ran[:]
+            _predict("resnet3d-s", np.float32, 2 * T.CHUNK_SAMPLES)
+            # two chunks on pool threads, and the folds inside them
+            assert ran.count(("chunk", False)) == 2 and ("fold", False) in ran
+            assert not any(main for _, main in ran)
             assert len(made) == 1 and T._POOL["threads"] is made[0]
             assert threading.active_count() - before <= T._workers()
         finally:
@@ -725,49 +748,20 @@ class TestRowSplits:
 
     def test_one_worker_never_makes_a_pool(self, monkeypatch):
         def forbidden(*args, **kwargs):
-            raise AssertionError("one worker runs every pass inline")
+            raise AssertionError("one worker runs everything inline")
 
         monkeypatch.setattr(T, "ThreadPoolExecutor", forbidden)
         monkeypatch.setattr(T, "_POOL", {})
         monkeypatch.setattr(T, "_workers", lambda: 1)
-        monkeypatch.setattr(T, "SPLIT_MIN_BYTES", 0)
         monkeypatch.setattr(ops, "POOL_MIN_BYTES", 0)
-        passes = []
-        split = T._over_rows
-
-        def counted(out, fn):
-            passes.append(out.shape)
-            split(out, fn)
-
-        monkeypatch.setattr(T, "_over_rows", counted)
+        ran = []
+        monkeypatch.setattr(ops, "_over_samples", _recorded(ran, "fold", ops._over_samples))
+        monkeypatch.setattr(T, "_over_chunks", _recorded(ran, "chunks", T._over_chunks))
         for arch in ("convgru-resnet3d", "resnet4d"):
             _arch_results(arch, np.float32)
-        assert passes and not T._POOL
-
-
-class _Windows:
-    """Seeded random windows, standing in for ``reps.WindowedData``."""
-
-    def __init__(self, rep, n, dtype):
-        self.x = np.random.default_rng(6).normal(size=(n,) + SAMPLE_SHAPES[rep]).astype(dtype)
-
-    def __len__(self):
-        return len(self.x)
-
-    def gather(self, indices):
-        indices = list(indices)
-        return self.x[indices], np.zeros((len(indices), 1))
-
-
-def _predict(arch, dtype, n):
-    """``predict`` of a tiny ``arch`` over n windows, the net and the windows."""
-    net, rep = _tiny_net(arch, dtype)
-    net.label_norm[:] = (1.5, 0.25)
-    data = _Windows(rep, n, dtype)
-    with T.use_dtype(dtype):
-        preds, _ = TR.predict(net, data)
-    assert preds.dtype == dtype and preds.shape == (n,)
-    return preds, net, data
+            _predict(arch, np.float32, 2 * T.CHUNK_SAMPLES)
+        assert ("fold", True) in ran and ran.count(("chunks", True)) == 2
+        assert all(main for _, main in ran) and not T._POOL
 
 
 class TestChunkedPredict:
@@ -798,7 +792,6 @@ class TestChunkedPredict:
         monkeypatch.setattr(T, "ThreadPoolExecutor", forbidden)
         monkeypatch.setattr(T, "_POOL", {})
         monkeypatch.setattr(T, "_workers", lambda: 1)
-        monkeypatch.setattr(T, "SPLIT_MIN_BYTES", 0)
         monkeypatch.setattr(ops, "POOL_MIN_BYTES", 0)
         seen = []
         forward = A.Network.forward
