@@ -22,8 +22,8 @@ the batch the first axis of one sample, with a unit kernel, so the fold
 strides only the axes after its first and runs no loop over samples.
 
 The fold's per-sample work runs inline or, when ``_over_samples`` allows,
-on the process's one worker pool (``tensor._pool``, one thread per usable
-CPU; making it pins numpy's OpenBLAS to one thread).  Each sample is
+on the process's one worker pool (through ``tensor._parallel``, one thread
+per usable CPU; making the pool pins numpy's OpenBLAS to one thread).  Each sample is
 written by one worker and the dK partials add in sample order in the
 calling thread, so no result depends on the worker count.
 
@@ -43,7 +43,6 @@ no thread and no BLAS call.
 
 from __future__ import annotations
 
-import contextvars
 from functools import lru_cache
 from itertools import product as iproduct
 from typing import Callable
@@ -128,24 +127,21 @@ POOL_MIN_BYTES = 64 << 10
 
 
 def _over_samples(batch: int, z_bytes: int, out_bytes: int, scratch, run) -> None:
-    """Call ``run(samples, scratch())`` over the batch: inline, or on the pool
-    with one contiguous range of samples per usable CPU when every CPU gets
-    a worker, a sample's Z is at least ``POOL_MIN_BYTES`` and the workers'
+    """Call ``run(samples, scratch())`` over the batch through ``T._parallel``:
+    one contiguous range of samples per usable CPU when every CPU gets a
+    worker, a sample's Z is at least ``POOL_MIN_BYTES`` and the workers'
     sets fit in two sets (train-resnet4d's peak RSS +1.1% on 2 CPUs) or in
-    the call's output.  ``scratch()`` returns (its buffers or None, views
-    into them); every set is made here: a worker's own allocations come from its
-    own glibc arena, which measured a higher peak RSS.  The pool is the
-    process's one (``T._pool``); in a chunk of ``T._over_chunks``, none.
-    Each range runs in its own copy of the caller's context (np.errstate)."""
+    the call's output, else one range of the whole batch.  ``scratch()``
+    returns (its buffers or None, views into them); every set is made here:
+    a worker's own allocations come from its own glibc arena, which
+    measured a higher peak RSS."""
     cpus, first = T._cpus(), scratch()
     set_bytes = sum(a.nbytes for a in first[0] if a is not None)
     if not (1 < cpus <= batch and z_bytes >= POOL_MIN_BYTES
             and cpus * set_bytes <= max(2 * set_bytes, out_bytes)):
-        return run(range(batch), first)
+        cpus = 1
     ranges = [range(w * batch // cpus, (w + 1) * batch // cpus) for w in range(cpus)]
-    sets = [first] + [scratch() for _ in ranges[1:]]
-    contexts = [contextvars.copy_context() for _ in ranges]
-    list(T._pool().map(lambda context, *args: context.run(run, *args), contexts, ranges, sets))
+    T._parallel(run, list(zip(ranges, [first] + [scratch() for _ in ranges[1:]])))
 
 
 @lru_cache(maxsize=256)

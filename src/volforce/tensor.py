@@ -9,11 +9,12 @@ updates on parameter data.
 ``backward`` accumulates into ``Tensor.grad``; the training loop resets
 gradients explicitly once per step via ``zero_grads``.
 
-The process's one worker pool (``_pool``) runs two kinds of work: the
-convolution fold's ranges of samples (``ops._over_samples``) and
-``training.predict``'s chunks of samples (``_over_chunks``), with every op
-inside a chunk inline.  Elementwise passes always run inline.  No result
-depends on the worker count.
+The process's one worker pool (``_pool``) is reached only through
+``_parallel``, which runs two kinds of work: the convolution fold's
+ranges of samples (``ops._over_samples``) and ``training.predict``'s
+chunks of samples.  The pool's threads are marked when they start, so
+every op on a pool thread runs inline.  Elementwise passes always run
+inline.  No result depends on the worker count.
 """
 
 from __future__ import annotations
@@ -196,7 +197,11 @@ def _workers() -> int:
 _POOL = {}  # the worker threads, made on first use
 if hasattr(os, "register_at_fork"):  # a forked child's copy of the pool has no threads
     os.register_at_fork(after_in_child=_POOL.clear)
-_CHUNK = threading.local()  # .running is set while a chunk of _over_chunks runs
+_POOL_THREAD = threading.local()  # .marked is set on each of the pool's threads
+
+
+def _mark_pool_thread() -> None:
+    _POOL_THREAD.marked = True
 
 
 def _pool() -> ThreadPoolExecutor:
@@ -206,38 +211,23 @@ def _pool() -> ThreadPoolExecutor:
         blas = _blas_threads()
         if blas:  # None only where a test sets the worker count
             blas[0](1)
-        _POOL["threads"] = ThreadPoolExecutor(_workers())
+        _POOL["threads"] = ThreadPoolExecutor(_workers(), initializer=_mark_pool_thread)
     return _POOL["threads"]
 
 
 def _cpus() -> int:
-    """CPUs a dispatch may use: 1 in a chunk, which must not wait on its pool."""
-    return 1 if getattr(_CHUNK, "running", False) else _workers()
+    """CPUs a dispatch may use: 1 on a pool thread, which must not wait on its pool."""
+    return 1 if getattr(_POOL_THREAD, "marked", False) else _workers()
 
 
-# Samples per chunk.  Batch-64 predict passes (2 CPUs, float32, median of 7):
-# whole batch 573-589 ms at 150 MB peak RSS, one range per CPU 453-469 ms at
-# 167 MB; chunks of 16, 8, 4: 451-483, 451-479, 530-536 ms at 135, 118, 109 MB.
-CHUNK_SAMPLES = 8
-
-
-def _run_chunk(fn, rows):
-    _CHUNK.running = True
-    try:
-        return fn(rows)
-    finally:
-        _CHUNK.running = False
-
-
-def _over_chunks(n: int, fn: Callable[[slice], object]) -> list:
-    """``[fn(rows) ...]`` over n samples' consecutive chunks of ``CHUNK_SAMPLES``:
-    one pool task per chunk, in a copy of the caller's context, or in order
-    here on one CPU.  fn allocates in the workers, unlike the fold's ranges,
-    yet a chunk's working set is small and peak RSS fell."""
-    chunks = [slice(s, min(s + CHUNK_SAMPLES, n)) for s in range(0, n, CHUNK_SAMPLES)]
-    if len(chunks) < 2 or _cpus() < 2:
-        return [fn(rows) for rows in chunks]
-    tasks = [_pool().submit(contextvars.copy_context().run, _run_chunk, fn, r) for r in chunks]
+def _parallel(fn: Callable, parts: Sequence[tuple]) -> list:
+    """``[fn(*part) for part in parts]``: one pool task per part, each in a
+    copy of the caller's context (so ``np.errstate`` holds), or in order
+    here with one part, one CPU, or on a pool thread.  The only code that
+    submits to the pool."""
+    if len(parts) < 2 or _cpus() < 2:
+        return [fn(*part) for part in parts]
+    tasks = [_pool().submit(contextvars.copy_context().run, fn, *part) for part in parts]
     return [t.result() for t in tasks]
 
 

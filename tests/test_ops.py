@@ -495,24 +495,26 @@ class TestConv4d:
 def fold_workers(monkeypatch):
     """Sets the pool's worker count, with no size cutoff for the fold, on a
     pool of its own; the list it returns records the sample ranges of each
-    use by the fold.  Work that a pool thread hands
+    use of the pool by the fold.  Work that a pool thread hands
     to the pool raises, where on a busy pool it would wait forever."""
     used = []
+    parallel = T._parallel
 
     class Counted(ThreadPoolExecutor):
-        def submit(self, *args, **kwargs):  # map submits through this too
+        def submit(self, *args, **kwargs):
             if threading.current_thread().name.startswith("fold_workers"):
                 raise AssertionError("a pool thread dispatched work to its own pool")
             return super().submit(*args, **kwargs)
 
-        def map(self, *args):
-            if len(args) == 4:  # the fold's (run, contexts, ranges, scratch sets)
-                used.append(args[2])  # keeping the scratch sets would hold them
-            return super().map(*args)
+    def recorded(fn, parts):
+        if len(parts) > 1 and isinstance(parts[0][0], range):  # the fold's (range, set)s
+            used.append([samples for samples, _ in parts])  # keeping the sets would hold them
+        return parallel(fn, parts)
 
-    pool = Counted(2, thread_name_prefix="fold_workers")
+    pool = Counted(2, thread_name_prefix="fold_workers", initializer=T._mark_pool_thread)
     monkeypatch.setattr(ops, "POOL_MIN_BYTES", 0)
     monkeypatch.setattr(T, "_POOL", {"threads": pool})
+    monkeypatch.setattr(T, "_parallel", recorded)
 
     def set_workers(n):
         monkeypatch.setattr(T, "_workers", lambda: n)
@@ -595,6 +597,21 @@ def _recorded(calls, name, fn):
         return fn(*args)
 
     return call
+
+
+def _recorded_chunks(monkeypatch, calls, call_name=None, part_name=None):
+    """Patches ``T._parallel`` to record, as ``_recorded`` does, each call
+    with ``predict``'s chunks as its parts and each run of such a part."""
+    parallel = T._parallel
+
+    def call(fn, parts):
+        if not isinstance(parts[0][0], slice):  # the fold's ranges
+            return parallel(fn, parts)
+        if call_name:
+            calls.append((call_name, threading.current_thread() is threading.main_thread()))
+        return parallel(_recorded(calls, part_name, fn) if part_name else fn, parts)
+
+    monkeypatch.setattr(T, "_parallel", call)
 
 
 class TestFoldPool:
@@ -719,8 +736,8 @@ class TestFoldPool:
         made, ran = [], []
 
         class Recorded(ThreadPoolExecutor):
-            def __init__(self, *args):
-                super().__init__(*args)
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
                 made.append(self)
 
         monkeypatch.setattr(T, "ThreadPoolExecutor", Recorded)
@@ -728,7 +745,7 @@ class TestFoldPool:
         monkeypatch.setattr(T, "_workers", lambda: 2)
         monkeypatch.setattr(ops, "POOL_MIN_BYTES", 0)
         monkeypatch.setattr(ops, "_over_samples", _recorded(ran, "fold", ops._over_samples))
-        monkeypatch.setattr(T, "_run_chunk", _recorded(ran, "chunk", T._run_chunk))
+        _recorded_chunks(monkeypatch, ran, part_name="chunk")
         before = threading.active_count()
         rng = np.random.default_rng(1)
         x = Tensor(rng.normal(size=(4, 6, 6, 6, 4)).astype(np.float32))
@@ -736,7 +753,7 @@ class TestFoldPool:
             ops.conv_spatial(x, Tensor(rng.normal(size=(3, 3, 3, 4, 4)).astype(np.float32)))
             assert ran == [("fold", True)] and T._POOL
             del ran[:]
-            _predict("resnet3d-s", np.float32, 2 * T.CHUNK_SAMPLES)
+            _predict("resnet3d-s", np.float32, 2 * TR.CHUNK_SAMPLES)
             # two chunks on pool threads, and the folds inside them
             assert ran.count(("chunk", False)) == 2 and ("fold", False) in ran
             assert not any(main for _, main in ran)
@@ -756,17 +773,17 @@ class TestFoldPool:
         monkeypatch.setattr(ops, "POOL_MIN_BYTES", 0)
         ran = []
         monkeypatch.setattr(ops, "_over_samples", _recorded(ran, "fold", ops._over_samples))
-        monkeypatch.setattr(T, "_over_chunks", _recorded(ran, "chunks", T._over_chunks))
+        _recorded_chunks(monkeypatch, ran, call_name="chunks")
         for arch in ("convgru-resnet3d", "resnet4d"):
             _arch_results(arch, np.float32)
-            _predict(arch, np.float32, 2 * T.CHUNK_SAMPLES)
+            _predict(arch, np.float32, 2 * TR.CHUNK_SAMPLES)
         assert ("fold", True) in ran and ran.count(("chunks", True)) == 2
         assert all(main for _, main in ran) and not T._POOL
 
 
 class TestChunkedPredict:
     # predict runs each batch as chunks of CHUNK_SAMPLES, on the pool
-    PARTIAL = 2 * T.CHUNK_SAMPLES + 3  # a partial last chunk
+    PARTIAL = 2 * TR.CHUNK_SAMPLES + 3  # a partial last chunk
 
     def test_chunks_dispatch_no_nested_work(self, fold_workers, monkeypatch):
         # the fixture's pool raises on work submitted from its own threads
@@ -804,8 +821,8 @@ class TestChunkedPredict:
         for arch in sorted(A.ARCH_TABLE):
             del seen[:]
             _, _, data = _predict(arch, np.float32, self.PARTIAL)
-            assert seen == [data.x[s:s + T.CHUNK_SAMPLES, 0].tobytes()
-                            for s in range(0, self.PARTIAL, T.CHUNK_SAMPLES)]
+            assert seen == [data.x[s:s + TR.CHUNK_SAMPLES, 0].tobytes()
+                            for s in range(0, self.PARTIAL, TR.CHUNK_SAMPLES)]
         assert not T._POOL
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -827,7 +844,7 @@ class TestChunkedPredict:
     def test_whole_chunks_equal_one_unchunked_forward(self, fold_workers, dtype):
         fold_workers(2)
         for arch in sorted(A.ARCH_TABLE):
-            preds, net, data = _predict(arch, dtype, 3 * T.CHUNK_SAMPLES)
+            preds, net, data = _predict(arch, dtype, 3 * TR.CHUNK_SAMPLES)
             with T.use_dtype(dtype), T.no_grad():
                 whole = net.forward(data.x, training=False).data.reshape(-1) * 0.25 + 1.5
             npt.assert_array_equal(preds, whole, err_msg=arch)
