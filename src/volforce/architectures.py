@@ -383,14 +383,32 @@ def _unallocated(shape) -> np.ndarray:
     return np.broadcast_to(np.zeros((), dtype=T.default_dtype()), shape)
 
 
+def _check_sizes(config: ModelConfig, shapes: dict[tuple[int, str], tuple]) -> None:
+    """Reject a config whose sizing values disagree with a checkpoint's
+    entry table ({(kind, name): shape}): ``channels()`` against
+    ``init_conv``'s output channels, ``blocks()`` against the ``block<i>.``
+    entries, and ``history + 1`` against the recurrent norms' running
+    statistics rows.  These size the norms that ``_assemble`` allocates."""
+    blocks = {name.split(".")[0] for kind, name in shapes if name.startswith("block")}
+    rows = {shape[0] for (kind, name), shape in shapes.items()
+            if kind == _KIND_BUFFER and name.endswith(".running_mean") and len(shape) == 2}
+    recurrent = config.family in ("resnet_rnn", "convrnn_resnet")
+    if (shapes.get((_KIND_PARAM, "init_conv.weight"), ())[-1:] != (config.channels(),)
+            or len(blocks) != config.blocks()
+            or rows != ({config.history + 1} if recurrent else set())):
+        raise ValueError(f"bad checkpoint config: {config.channels()} channels, {config.blocks()} "
+                         f"blocks and history {config.history} do not fit its entries")
+
+
 def load_checkpoint(path) -> tuple[Network, dict[str, np.ndarray]]:
     """Rebuild the network from a checkpoint; returns (net, ema shadows).
 
-    The network is assembled with placeholder parameters and takes each
-    parameter array from the file, so a config implying more parameters
-    than the file holds is rejected before they are allocated.  Every
-    parameter and buffer must appear once with its exact shape, and EMA
-    shadows must name parameters.
+    The config's sizing values are checked against the file's entry table
+    (``_check_sizes``), and the network is assembled with placeholder
+    parameters and takes each parameter array from the file, so a config
+    implying more than the file holds is rejected before it is allocated.
+    Every parameter and buffer must appear once with its exact shape, and
+    EMA shadows must name parameters.
     """
     with open(path, "rb") as fh:
         magic = fh.read(len(_CKPT_MAGIC))
@@ -402,6 +420,14 @@ def load_checkpoint(path) -> tuple[Network, dict[str, np.ndarray]]:
         (cfg_len,) = unpack(fh, "<I")
         try:
             config = ModelConfig(**json.loads(read_exact(fh, cfg_len).decode("utf-8")))
+            (n_entries,) = unpack(fh, "<I")
+            if 8 * n_entries > bytes_left(fh):  # an entry takes at least 8 bytes
+                raise ValueError(f"checkpoint truncated: {n_entries} entries declared")
+            start = fh.tell()  # the entry table, holding one entry's bytes at a time
+            shapes = {(kind, name): arr.shape
+                      for kind, name, arr in (_read_entry(fh) for _ in range(n_entries))}
+            fh.seek(start)
+            _check_sizes(config, shapes)
             net = _assemble(config, _unallocated)
         except TypeError as exc:  # unknown or missing keys, non-object JSON, bad types
             raise ValueError(f"bad checkpoint config: {exc}") from None
@@ -410,9 +436,6 @@ def load_checkpoint(path) -> tuple[Network, dict[str, np.ndarray]]:
         targets = {_KIND_PARAM: params, _KIND_EMA: params, _KIND_BUFFER: buffers}
         ema: dict[str, np.ndarray] = {}
         seen: set[tuple[int, str]] = set()
-        (n_entries,) = unpack(fh, "<I")
-        if 8 * n_entries > bytes_left(fh):  # an entry takes at least 8 bytes
-            raise ValueError(f"checkpoint truncated: {n_entries} entries declared")
         for _ in range(n_entries):
             kind, name, arr = _read_entry(fh)
             target = targets.get(kind, {}).get(name)

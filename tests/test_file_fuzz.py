@@ -109,9 +109,14 @@ def test_single_byte_flips_load_or_raise_value_error(tmp_path, fmt):
         _load(load, flipped, f"flip at byte {pos}")
 
 
-def test_enlarged_checkpoint_config_rejected_before_allocating(tmp_path):
-    # a config implying far more parameters than the file holds
+# configs implying far more than the file holds: larger weights, and norms
+# (batch norm's gamma, beta and running statistics, the recurrent cells'
+# per-timestep statistics) sized by channels, blocks or history
+@pytest.mark.parametrize("enlarged", [
+    {"base_channels": 64, "kernel": 5}, {"history": 10 ** 5}, {"base_channels": 10 ** 6},
+    {"n_blocks": 2000}, {"history": 10 ** 12}, {"base_channels": 10 ** 12}])
+def test_enlarged_checkpoint_config_rejected_before_allocating(tmp_path, enlarged):
     path = tmp_path / "model.ckpt"
     _write_checkpoint(path)
-    rewrite_checkpoint_config(path, lambda cfg: dict(cfg, base_channels=64, kernel=5))
-    assert not _load(A.load_checkpoint, path, "enlarged config")
+    rewrite_checkpoint_config(path, lambda cfg: dict(cfg, **enlarged))
+    assert not _load(A.load_checkpoint, path, f"enlarged config {enlarged}")
