@@ -65,6 +65,7 @@ class ModelConfig:
     horizon: int = 0
     max_channels: int = 0  # 0 -> 4 * effective base channels
     kernel: int = 3
+    d_out: int = 16  # volume depth after resampling; absent from older checkpoints
 
     def __post_init__(self):
         if self.family not in FAMILIES:
@@ -91,8 +92,8 @@ class ModelConfig:
         if self.n_strided() > max(0, self.n_blocks - 1):
             raise ValueError(
                 f"{self.n_blocks} blocks cannot host {self.n_strided()} stride-2 blocks")
-        if self.history < 1 or self.horizon < 0:
-            raise ValueError("history must be >= 1 and horizon >= 0")
+        if self.history < 1 or self.horizon < 0 or self.d_out < 1:
+            raise ValueError("history and d_out must be >= 1 and horizon >= 0")
         if self.kernel < 1 or self.kernel % 2 == 0:
             raise ValueError(f"kernel must be odd and positive, got {self.kernel}")
         if self.base_channels < 1 or self.max_channels < 0:

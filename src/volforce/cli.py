@@ -80,7 +80,6 @@ def _parser() -> argparse.ArgumentParser:
                                       "Wilcoxon test")
     ev.add_argument("--plot", action="store_true", default=None,
                     help="emit the regression/residual SVG")
-    ev.add_argument("--d-out", type=int, dest="d_out")
 
     sw = sub.add_parser("sweep", help="train/eval one model per (history, horizon) cell")
     common(sw)
@@ -221,7 +220,7 @@ def _train_one(settings, p: int, f: int, splits=None, quiet=False):
     config = arch_mod.config_from_arch(
         settings["arch"], settings["rep"], history=p, horizon=f,
         base_channels=settings["base_channels"], n_blocks=settings["n_blocks"],
-        spatial_output_stride=settings["spatial_output_stride"])
+        spatial_output_stride=settings["spatial_output_stride"], d_out=settings["d_out"])
     bs_default, lr_default = training.defaults_for(settings["rep"])
     cfg = training.TrainConfig(
         epochs=settings["epochs"],
@@ -300,7 +299,7 @@ def cmd_eval(settings) -> int:
         raise ValueError("--checkpoint is required")
     net, ema = arch_mod.load_checkpoint(settings["checkpoint"])
     config = net.config
-    settings = dict(settings, rep=config.representation)
+    settings = dict(settings, rep=config.representation, d_out=config.d_out)
     splits = _load_splits(settings, config.history, config.horizon)
     run_id = os.path.splitext(os.path.basename(settings["checkpoint"]))[0]
     report, pred, target = _evaluate(net, ema, splits, settings, run_id,

@@ -453,7 +453,7 @@ def test_criterion_10_reproducibility(tmp_path):
         run_id = "convgru-resnet3d_4d-st_p2_f0_seed4"
         rc = cli.main(["eval", "--dataset", str(out / "ds.oct4d"),
                        "--checkpoint", str(out / f"{run_id}.ckpt"),
-                       "--d-out", "8", "--out", str(out)])
+                       "--out", str(out)])
         assert rc == 0
         hashes.append({
             "dataset": sha(out / "ds.oct4d"),

@@ -384,6 +384,14 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="bad checkpoint config"):
             A.load_checkpoint(path)
 
+    def test_config_without_d_out_reads_the_old_eval_default(self, tmp_path):
+        net = A.build(_tiny("resnet", "2d-s", d_out=8))
+        path = tmp_path / "model.ckpt"
+        A.save_checkpoint(path, net, None)
+        assert A.load_checkpoint(path)[0].config.d_out == 8
+        rewrite_checkpoint_config(path, lambda cfg: {k: v for k, v in cfg.items() if k != "d_out"})
+        assert A.load_checkpoint(path)[0].config.d_out == 16
+
     def test_even_kernel_in_config_rejected(self, tmp_path):
         net = A.build(_tiny("resnet", "2d-s"))
         path = tmp_path / "model.ckpt"
@@ -404,46 +412,46 @@ def _digest(lines) -> str:
 REGISTRY_PINS = {
     "convgru-resnet2d": ("0d2ae49a6e463c8555d76a2913ee332a4d86366cce07b0e85467fefab62b2a71",
                          "6bf2ab09a070ac18a907d760a981bec89722749962f325206b6b8d476fbaec40",
-                         "86e5882f1ba4b0cda35fe39551ac431efed98d881f8ad3c18784e94628811c34"),
+                         "a05a5c621cafd5cd59a422823e02f0c0a46ff4ebd6d659fe9c78ea641852d2a8"),
     "convgru-resnet3d": ("f2230d07fc587499a798d6eca3d03cb75817d1dfbbc7001585e602e698c6ab53",
                          "6bf2ab09a070ac18a907d760a981bec89722749962f325206b6b8d476fbaec40",
-                         "e04f0807a337e8a3670f7960442c4e0e8f9366a83bc2731e8111b9aefb6bdac8"),
+                         "57176af5e95864cd69687f4d6c786f958b7fa10b70f3a479c8a77b65d79f8df4"),
     "convlstm-resnet2d": ("9d9189fa1fe5cd6e2898c7ab255f6e790d644b0c85a5a840acf1ef8f5bfc3b33",
                           "a62ed20c1519bb8d41c206abc3fff9e0ff667c7ece751dda88ffbb9dde661521",
-                          "707615420dda3267851bc48c6c180b39481569467f0646d97cfaf90a1393eb6a"),
+                          "b3786b462e0082c9d964e0e24ed35fffaf1512292ea0519f78d0ea8649889021"),
     "convlstm-resnet3d": ("266dd575c0ba652b1385e51a9c18d14c3fe16fa282d32db7715a99efe581dee2",
                           "a62ed20c1519bb8d41c206abc3fff9e0ff667c7ece751dda88ffbb9dde661521",
-                          "afd5212e21455f6dea9a10a6c6d0642778605552365895c48424208f0d0ba746"),
+                          "9f982f4cd1eb41ebc5e3cc16e7456de77feb1d925819b3dfe8098bbd314a873b"),
     "facresnet3d": ("2734b320c1b5f65bb88eedd24a4e284589f824e118f31c0fa91dd8cdfb016f8e",
                     "a89155d95b685ab6c2244f1cf93c984cd47be6fbae48d2b913a4bde95e7ea941",
-                    "5f68b56b8d67f145a81c4e2c9c0e4cd3a07e7f571e397e71a9199ddf5abe2d12"),
+                    "331033613b16809326cae187e836e95aae08c59a085fb90e40812a1309c963e2"),
     "facresnet4d": ("095853b9d02f26ee5fe3e06c6272835adbfad768ea65f573310608272e9e4684",
                     "a89155d95b685ab6c2244f1cf93c984cd47be6fbae48d2b913a4bde95e7ea941",
-                    "20f3696209c62e24b15abbfe2bf003183b54af6b5c87f28ff5637e2eb563de32"),
+                    "45e19468128d165c6f61f975cfa8f8c82abca0e168739f9a25c792358b726348"),
     "resnet2d-gru": ("32caddd21272ef89b7a36394e295ad53c6feb1ee1c89c6a79176b3eeec634a6e",
                      "369fd9b7dbd8d72591a556aedac4f5da0de2b1b7e44879ac876edc5856e6450b",
-                     "d1c10f8cd96a9525cdf387aa8691306e1ebbe4d0157a13634d48cbe9d4a129f4"),
+                     "58cbddedeb821fa776e5eb24d9c8831fa89a22631c5f16135f0d9874802814cb"),
     "resnet2d-lstm": ("8e319f8adf71bb089aad804c386b76a15bc83db386875a275e23b9d224cffba7",
                       "8caf0ba23e4c675409fa571945640058f5b24df722f92e619c642fc3185f6a75",
-                      "f6be71d8a52dc4d62dfb6b8618e1fba6f79d7ae5524f0a8dff12b6842032df1c"),
+                      "46227ea7541e74183bdbb2ed717ec32e9825dcbfcaf51b5373704cc92d80088e"),
     "resnet2d-s": ("0fd3f87e945c55c5e95e47b2234e94e229ea88b439c334e5a41e2b433ec7d66b",
                    "a89155d95b685ab6c2244f1cf93c984cd47be6fbae48d2b913a4bde95e7ea941",
-                   "ee798519e6a6f908b29fc93a0fdcbecdc6fd902f70c81abe7fbb721f1bd4f04e"),
+                   "a01aeddc223e48385e57c1d90547b67b1722f06d836be8a40f91f92e4245aaa1"),
     "resnet3d-gru": ("935c16b2f01a11d157371dae9ee95057849a44bcd1502480800561c916efbf67",
                      "369fd9b7dbd8d72591a556aedac4f5da0de2b1b7e44879ac876edc5856e6450b",
-                     "722be11c92d758e1b3169e0caee5e8297753844a0dd91f5be3536566e843d97d"),
+                     "75ec726d53870a4680b0349beb63977fe9f4eec09a9951751a86e2f3e83e3ea9"),
     "resnet3d-lstm": ("670f95690872bb2480290b0a6d6055b0e0640671d16e6c418071df225ca8edc0",
                       "8caf0ba23e4c675409fa571945640058f5b24df722f92e619c642fc3185f6a75",
-                      "a4a3c10144815959242f5dfdbcc2684f0d50323d8a4a1b6222db81b21c56535a"),
+                      "7ff8f5c485bd0773544b49130b9db7a19ce6d83f8fc54bfb8126dfdfe7ffbe10"),
     "resnet3d-s": ("583d5b25100a3558a3275e83f4c557f643288f50239003443fd622ff3d0dba14",
                    "a89155d95b685ab6c2244f1cf93c984cd47be6fbae48d2b913a4bde95e7ea941",
-                   "3d5cf0fd973a08122761e1d14bb6316a69d50bfcf7bbb32877ea4e318719cecb"),
+                   "618898bd6fd4f4c8aac8742cfbd4d807ba08ef7c1c9ab8494a099aa3b7b9d86a"),
     "resnet3d-st": ("583d5b25100a3558a3275e83f4c557f643288f50239003443fd622ff3d0dba14",
                     "a89155d95b685ab6c2244f1cf93c984cd47be6fbae48d2b913a4bde95e7ea941",
-                    "e57d1c0a1815c15b7be2e1935c907ee819d7bed2db3682196704d09ac524f0ec"),
+                    "4faca6934a7f3d6b0eafc5b6ccf75eceb0ab7d5a850eba3978d07b8200e2f3f8"),
     "resnet4d": ("56ddd35508937583140a1435545b66ffce9f7d607383fa2c0ef79e3f5d6b8a69",
                  "a89155d95b685ab6c2244f1cf93c984cd47be6fbae48d2b913a4bde95e7ea941",
-                 "e161e6fd6d2ae32dd8a5803159567b71d836aee7afbc52054179dbca0a3a518f"),
+                 "a91f3fbc6409c1aad65ebe0e50d00f30109a9c8a978c1b283754c1ce9eccd9fd"),
 }
 
 

@@ -11,7 +11,7 @@ import pytest
 
 from volforce import architectures as A
 from volforce import cli
-from volforce import metrics
+from volforce import metrics, phantom, reps, training
 
 from helpers import rewrite_checkpoint_config
 
@@ -180,7 +180,7 @@ class TestEval:
         ds = _gen(tmp_path)
         ckpt, run_id = _train(tmp_path, ds)
         rc = cli.main(["eval", "--dataset", str(ds), "--checkpoint", str(ckpt),
-                       "--d-out", "8", "--out", str(tmp_path / "ev"), "--plot"])
+                       "--out", str(tmp_path / "ev"), "--plot"])
         assert rc == 0
         lines = (tmp_path / "ev" / "metrics.csv").read_text().splitlines()
         assert lines[0].split(",") == list(__import__(
@@ -194,16 +194,31 @@ class TestEval:
         ds = _gen(tmp_path)
         ckpt, run_id = _train(tmp_path, ds)
         rc = cli.main(["eval", "--dataset", str(ds), "--checkpoint", str(ckpt),
-                       "--d-out", "8", "--out", str(tmp_path / "e1")])
+                       "--out", str(tmp_path / "e1")])
         assert rc == 0
         errors = tmp_path / "e1" / f"{run_id}.errors"
         rc = cli.main(["eval", "--dataset", str(ds), "--checkpoint", str(ckpt),
-                       "--d-out", "8", "--out", str(tmp_path / "e2"),
+                       "--out", str(tmp_path / "e2"),
                        "--compare", str(errors)])
         assert rc == 0
         lines = (tmp_path / "e2" / "metrics.csv").read_text().splitlines()
         assert lines[0].endswith("wilcoxon_p")
         assert len(lines[1].split(",")) == 13
+
+    def test_depth_comes_from_the_checkpoint(self, tmp_path):
+        # trained with --d-out 8 (TINY); eval has no --d-out and windows 8 deep
+        ds = _gen(tmp_path)
+        ckpt, run_id = _train(tmp_path, ds, arch="resnet3d-s", rep="3d-s")
+        rc = cli.main(["eval", "--dataset", str(ds), "--checkpoint", str(ckpt),
+                       "--out", str(tmp_path / "ev")])
+        assert rc == 0
+        net, ema = A.load_checkpoint(ckpt)
+        splits = reps.windowed_splits(phantom.load_dataset(ds), "3d-s", 2, 0, 8)
+        pred, target = training.predict(net, splits["test"], ema)
+        errors = (tmp_path / "ev" / f"{run_id}.errors").read_text().split()
+        assert [float(e) for e in errors] == [float(e) for e in abs(pred - target)]
+        with pytest.raises(SystemExit):
+            cli._parser().parse_args(["eval", "--checkpoint", str(ckpt), "--d-out", "8"])
 
     def test_missing_checkpoint_flag_exits_nonzero(self, tmp_path):
         rc = cli.main(["eval", "--dataset", "x", "--out", str(tmp_path)])
@@ -218,7 +233,7 @@ class TestEval:
         rewrite_checkpoint_config(ckpt, lambda cfg: dict(cfg, dropout=0.5))
         for path in (tmp_path / "cut8.ckpt", tmp_path / "cut12.ckpt", ckpt):
             rc = cli.main(["eval", "--dataset", str(ds), "--checkpoint", str(path),
-                           "--d-out", "8", "--out", str(tmp_path / "ev")])
+                           "--out", str(tmp_path / "ev")])
             err = capsys.readouterr().err
             assert rc == 1, path
             assert err.startswith("error:") and len(err.strip().splitlines()) == 1, err
@@ -232,7 +247,7 @@ class TestEval:
             cut = tmp_path / f"cut{n}.oct4d"
             cut.write_bytes(data[:n])
             rc = cli.main(["eval", "--dataset", str(cut), "--checkpoint", str(ckpt),
-                           "--d-out", "8", "--out", str(tmp_path / "ev")])
+                           "--out", str(tmp_path / "ev")])
             err = capsys.readouterr().err
             assert rc == 1, n
             assert err.startswith("error:") and len(err.strip().splitlines()) == 1, err
