@@ -27,7 +27,7 @@ from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from functools import lru_cache
 from glob import glob
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -485,108 +485,3 @@ def backward(loss: Tensor, params: Iterable[Tensor] | None = None) -> dict[Tenso
 def zero_grads(params: Iterable[Tensor]) -> None:
     for p in params:
         p.grad = None
-
-
-# -- finite differences --------------------------------------------------------
-
-# Kink-aware step control (see ``finite_diff_report``): the largest relative
-# disagreement accepted between the one-sided quotients, and the smallest
-# step tried.
-FD_SLOPE_GAP = 1e-6
-FD_MIN_STEP = 1e-7
-
-
-class FiniteDiffReport(NamedTuple):
-    """Outcome of :func:`finite_diff_report`."""
-
-    worst: float  # max relative error over the sampled coordinates
-    checked: int  # coordinates compared
-    shrunk: int  # coordinates whose step had to be reduced below ``eps``
-    min_step: float  # smallest step used for any coordinate
-    plain_worst: float  # max relative error against the central difference at ``eps``
-
-
-def finite_diff_report(f: Callable[[], Tensor], params: Sequence[Tensor],
-                       eps: float = 1e-4, max_elements: int | None = None,
-                       seed: int = 0) -> FiniteDiffReport:
-    """Compare analytic gradients with kink-aware central differences.
-
-    ``f`` rebuilds the scalar loss from ``params`` on every call.  The
-    unperturbed loss ``f0`` is evaluated once.  For each sampled
-    coordinate the step ``h`` starts at ``eps``; the one-sided quotients
-    ``(f(x+h) - f0) / h`` and ``(f0 - f(x-h)) / h`` are compared, and
-    while they differ by more than ``tol = FD_SLOPE_GAP * max(1, |central|)``
-    the step is divided by 10.  Shrinking stops at the floor
-    ``FD_MIN_STEP`` (1e-7; there float64 round-off still leaves the
-    quotient accurate to about 1e-9 times the loss), or once a division
-    cut the gap at least 5x and moved the central difference by at most
-    ``tol``.  A ReLU whose pre-activation lies within ``h`` of zero makes
-    the one-sided slopes disagree, so the reference moves to a step that
-    no longer straddles the kink instead of averaging two slopes; a
-    smaller step that still straddles it moves the central difference by
-    a share of the slope jump.  On a smooth loss the gap is the curvature
-    times ``h``: it falls 10x per division while the central difference
-    moves by O(h^2), so one smaller step tells curvature from a kink.
-    The analytic gradient plays no part in choosing ``h``, and no
-    coordinate is dropped, so a wrong backward still shows.
-
-    The relative error per coordinate is |analytic - central| /
-    max(1, |central|) at the final step.  ``max_elements`` caps how many
-    entries of each parameter are perturbed (sampled with ``seed``); the
-    default perturbs every entry.  The check is meaningful only in the
-    float64 mode (``use_dtype(np.float64)``): at 32-bit precision the
-    round-off in ``f`` swamps differences at these steps.
-    """
-    def loss_value() -> float:
-        with no_grad():
-            return float(f().data.reshape(-1)[0])
-
-    zero_grads(params)
-    backward(f(), params)
-    analytic = [None if p.grad is None else p.grad.copy() for p in params]
-    f0 = loss_value()
-    rng = np.random.default_rng(seed)
-    worst, checked, shrunk, min_step, plain_worst = 0.0, 0, 0, eps, 0.0
-    for p, grad in zip(params, analytic):
-        flat = p.data.reshape(-1)
-        n = flat.size
-        if max_elements is not None and n > max_elements:
-            idxs = rng.choice(n, size=max_elements, replace=False)
-        else:
-            idxs = range(n)
-        gflat = np.zeros(n) if grad is None else grad.reshape(-1)
-        for i in idxs:
-            orig = flat[i]
-            h, last_gap, last = eps, 0.0, np.nan  # no gap yet, so none has fallen
-            while True:
-                flat[i] = orig + h
-                f_plus = loss_value()
-                flat[i] = orig - h
-                f_minus = loss_value()
-                flat[i] = orig
-                numeric = (f_plus - f_minus) / (2.0 * h)
-                if h == eps:
-                    plain = numeric
-                slopes_gap = abs((f_plus - f0) - (f0 - f_minus)) / h
-                # the floor compare allows for rounding in repeated h / 10
-                tol = FD_SLOPE_GAP * max(1.0, abs(numeric))
-                if (slopes_gap <= tol
-                        or (5.0 * slopes_gap <= last_gap and abs(numeric - last) <= tol)
-                        or h / 10.0 < FD_MIN_STEP * (1.0 - 1e-6)):
-                    break
-                h, last_gap, last = h / 10.0, slopes_gap, numeric
-            checked += 1
-            shrunk += int(h < eps)
-            min_step = min(min_step, h)
-            g = float(gflat[i])
-            worst = max(worst, abs(g - numeric) / max(1.0, abs(numeric)))
-            plain_worst = max(plain_worst, abs(g - plain) / max(1.0, abs(plain)))
-    zero_grads(params)
-    return FiniteDiffReport(worst, checked, shrunk, min_step, plain_worst)
-
-
-def finite_diff_check(f: Callable[[], Tensor], params: Sequence[Tensor],
-                      eps: float = 1e-4, max_elements: int | None = None,
-                      seed: int = 0) -> float:
-    """Max relative error of :func:`finite_diff_report` (same arguments)."""
-    return finite_diff_report(f, params, eps, max_elements, seed).worst

@@ -26,7 +26,7 @@ from volforce import tensor as T
 from volforce import training as TR
 from volforce.tensor import Tensor
 
-from helpers import check_all_primitive_grads, rel_err
+from helpers import check_all_primitive_grads, finite_diff_report, rel_err
 
 
 def _windowed(n_experiments, cfg, representation, p, f, d_out=16,
@@ -164,7 +164,7 @@ def test_criterion_3_gradient_suite():
                 return TR.mse_loss(net.forward(x, training=True), target)
 
             params = [p for _, p in net.named_params()]
-            report = T.finite_diff_report(f, params, eps=1e-4, max_elements=3, seed=0)
+            report = finite_diff_report(f, params, eps=1e-4, max_elements=3, seed=0)
             err = report.worst
             worst = max(worst, err)
             plain_worst = max(plain_worst, report.plain_worst)

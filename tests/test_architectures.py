@@ -10,7 +10,7 @@ from volforce import tensor as T
 from volforce import training as TR
 from volforce.tensor import Tensor
 
-from helpers import rewrite_checkpoint_config, square
+from helpers import finite_diff_check, rewrite_checkpoint_config, square
 
 
 def _tiny(family, rep, rnn="none", **kw):
@@ -300,7 +300,7 @@ class TestForward:
                 return T.tmean(square(net.forward(x, training=True)))
 
             params = [p for _, p in net.named_params()]
-            err = T.finite_diff_check(f, params, eps=1e-4, max_elements=3)
+            err = finite_diff_check(f, params, eps=1e-4, max_elements=3)
             assert err < 1e-4
 
 

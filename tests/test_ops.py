@@ -16,7 +16,7 @@ from volforce import tensor as T
 from volforce import training as TR
 from volforce.tensor import Tensor
 
-from helpers import loop_conv_nd, rel_err, square
+from helpers import finite_diff_check, loop_conv_nd, rel_err, square
 
 
 def _rand_init(rng, scale=0.3):
@@ -131,7 +131,7 @@ class TestConvPrimitive:
             x = Tensor(rng.normal(size=(3, 4, 5, 4, 1)), requires_grad=True)
             K = Tensor(rng.normal(size=(3, 3, 3, 1, 2)) * 0.4, requires_grad=True)
             for stride in (1, 2):
-                err = T.finite_diff_check(
+                err = finite_diff_check(
                     lambda: T.tsum(square(ops.conv_spatial(x, K, stride))), [x, K], eps=1e-4)
                 assert err < 1e-4
 
@@ -224,7 +224,7 @@ class TestConvPrimitive:
         assert rel_err(fast, ref) <= 1e-5
         with T.use_dtype(np.float64):
             xt, Kt = Tensor(x, requires_grad=True), Tensor(K, requires_grad=True)
-            err = T.finite_diff_check(
+            err = finite_diff_check(
                 lambda: T.tsum(square(ops.conv_nd(xt, Kt, stride, temporal))), [xt, Kt],
                 eps=1e-4, max_elements=32)
         assert err < 1e-4
@@ -283,7 +283,7 @@ class TestConvPrimitive:
             forward = np.vdot(out.data, g)
             assert abs(np.vdot(K.data, K.grad) - forward) <= 1e-12 * abs(forward)
             assert abs(np.vdot(x.data, x.grad) - forward) <= 1e-12 * abs(forward)
-            err = T.finite_diff_check(
+            err = finite_diff_check(
                 lambda: T.tsum(square(ops.conv_nd(x, K, stride, temporal))), [x, K],
                 eps=1e-4, max_elements=32)
         assert err < 1e-4
@@ -1142,7 +1142,7 @@ class TestBatchNorm:
             def f():
                 return T.tsum(bn(x, training=True, relu=relu) * w)
 
-            err = T.finite_diff_check(f, [x, bn.gamma, bn.beta], eps=1e-4, max_elements=40)
+            err = finite_diff_check(f, [x, bn.gamma, bn.beta], eps=1e-4, max_elements=40)
             assert err < 1e-4
 
     def test_sums_do_not_depend_on_blas_threads(self, rng):
@@ -1235,7 +1235,7 @@ class TestResidualBlock:
             def f():
                 return T.tmean(square(b2(b1(x, True), True)))
 
-            assert T.finite_diff_check(f, params, eps=1e-4, max_elements=6) < 1e-4
+            assert finite_diff_check(f, params, eps=1e-4, max_elements=6) < 1e-4
 
 
 class TestPoolingAndHead:

@@ -9,6 +9,8 @@ from volforce import recurrent as R
 from volforce import tensor as T
 from volforce.tensor import Tensor
 
+from helpers import finite_diff_check
+
 
 def _init(rng, scale=0.3):
     def init(shape):
@@ -312,7 +314,7 @@ class TestUnroll:
                 h = R.unroll(cell, x, training=True)
                 return T.tmean(h * h)
 
-            assert T.finite_diff_check(f, params, eps=1e-4, max_elements=8) < 1e-4
+            assert finite_diff_check(f, params, eps=1e-4, max_elements=8) < 1e-4
 
     def test_return_sequence_shape(self, rng):
         cell = R.GRUCell(3, 4, _init(rng))

@@ -8,7 +8,8 @@ from volforce import ops
 from volforce import tensor as T
 from volforce.tensor import Tensor
 
-from helpers import check_all_primitive_grads, loop_matmul, square
+from helpers import (FD_MIN_STEP, check_all_primitive_grads, finite_diff_check,
+                     finite_diff_report, loop_matmul, square)
 
 
 class TestElementwise:
@@ -124,7 +125,7 @@ class TestBackward:
                 h = T.tanh(T.matmul(x, w) + b)
                 return T.tmean(square(T.sigmoid(h)))
 
-            assert T.finite_diff_check(f, [w, b], eps=1e-4) < 1e-4
+            assert finite_diff_check(f, [w, b], eps=1e-4) < 1e-4
 
     def test_gradient_shape_matches_parameter_shape(self):
         # broadcast/reduce property over random shape pairs
@@ -192,7 +193,7 @@ class TestFiniteDiffCheck:
             def f():
                 return T.tsum(w * w)
 
-            assert T.finite_diff_check(f, [w], eps=1e-4) < 1e-6
+            assert finite_diff_check(f, [w], eps=1e-4) < 1e-6
 
     def test_constant_function_zero_error(self):
         with T.use_dtype(np.float64):
@@ -202,7 +203,7 @@ class TestFiniteDiffCheck:
             def f():
                 return T.tsum(w * 0.0 + c)
 
-            assert T.finite_diff_check(f, [w], eps=1e-4) == 0.0
+            assert finite_diff_check(f, [w], eps=1e-4) == 0.0
 
     @staticmethod
     def _shifted_relu(c):
@@ -221,11 +222,11 @@ class TestFiniteDiffCheck:
             def f():
                 return T.tsum(relu_shifted(w))
 
-            report = T.finite_diff_report(f, [w], eps=1e-4)
+            report = finite_diff_report(f, [w], eps=1e-4)
             assert report.plain_worst > 0.3
             assert report.worst < 1e-6
             assert (report.checked, report.shrunk) == (1, 1)
-            assert T.finite_diff_check(f, [w], eps=1e-4) < 1e-6
+            assert finite_diff_check(f, [w], eps=1e-4) < 1e-6
 
     @pytest.mark.parametrize("offset", [8.5e-6, 9e-6])
     def test_kink_inside_the_smaller_step_is_not_taken_for_curvature(self, offset):
@@ -235,7 +236,7 @@ class TestFiniteDiffCheck:
         with T.use_dtype(np.float64):
             relu_shifted = self._shifted_relu(0.5)
             w = Tensor([0.5 + offset], requires_grad=True)
-            report = T.finite_diff_report(lambda: T.tsum(relu_shifted(w)), [w], eps=1e-4)
+            report = finite_diff_report(lambda: T.tsum(relu_shifted(w)), [w], eps=1e-4)
             assert report.worst < 1e-6
             npt.assert_allclose(report.min_step, 1e-6, rtol=1e-6)
 
@@ -248,9 +249,9 @@ class TestFiniteDiffCheck:
             def f():
                 return T.tsum(relu(w))
 
-            report = T.finite_diff_report(f, [w], eps=1e-4)
+            report = finite_diff_report(f, [w], eps=1e-4)
             assert report.shrunk == 1
-            npt.assert_allclose(report.min_step, T.FD_MIN_STEP, rtol=1e-6)
+            npt.assert_allclose(report.min_step, FD_MIN_STEP, rtol=1e-6)
 
     @staticmethod
     def _wrong_backward(fn, dfn, factor):
@@ -274,8 +275,8 @@ class TestFiniteDiffCheck:
             w = Tensor([0.5 + offset], requires_grad=True)
             right = self._wrong_backward(fn, dfn, 1.0)
             wrong = self._wrong_backward(fn, dfn, 1.001)
-            assert T.finite_diff_check(lambda: T.tsum(right(w - c)), [w], eps=1e-4) < 1e-6
-            assert T.finite_diff_check(lambda: T.tsum(wrong(w - c)), [w], eps=1e-4) >= 1e-4
+            assert finite_diff_check(lambda: T.tsum(right(w - c)), [w], eps=1e-4) < 1e-6
+            assert finite_diff_check(lambda: T.tsum(wrong(w - c)), [w], eps=1e-4) >= 1e-4
 
 
 def test_every_primitive_gradient_over_100_instances():

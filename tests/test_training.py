@@ -11,6 +11,8 @@ from volforce import tensor as T
 from volforce import training as TR
 from volforce.tensor import Tensor
 
+from helpers import finite_diff_check
+
 
 def _toy_data(rng, n=24, extent=8, rep="2d-s", p=1, f=0):
     data = reps.WindowedData(rep, p=p, f=f)
@@ -73,7 +75,7 @@ class TestMseLoss:
             def f():
                 return TR.mse_loss(pred, target)
 
-            assert T.finite_diff_check(f, [pred], eps=1e-5) < 1e-8
+            assert finite_diff_check(f, [pred], eps=1e-5) < 1e-8
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="shape"):
