@@ -384,17 +384,17 @@ def _unallocated(shape) -> np.ndarray:
     return np.broadcast_to(np.zeros((), dtype=T.default_dtype()), shape)
 
 
-def _check_sizes(config: ModelConfig, shapes: dict[tuple[int, str], tuple]) -> None:
+def _check_sizes(config: ModelConfig, shapes: dict[str, tuple[int, ...]]) -> None:
     """Reject a config whose sizing values disagree with a checkpoint's
-    entry table ({(kind, name): shape}): ``channels()`` against
-    ``init_conv``'s output channels, ``blocks()`` against the ``block<i>.``
-    entries, and ``history + 1`` against the recurrent norms' running
-    statistics rows.  These size the norms that ``_assemble`` allocates."""
-    blocks = {name.split(".")[0] for kind, name in shapes if name.startswith("block")}
-    rows = {shape[0] for (kind, name), shape in shapes.items()
-            if kind == _KIND_BUFFER and name.endswith(".running_mean") and len(shape) == 2}
+    entry shapes by name: ``channels()`` against ``init_conv``'s output
+    channels, ``blocks()`` against the ``block<i>.`` entries, and
+    ``history + 1`` against the recurrent norms' running-statistics rows.
+    These size the norms that ``_assemble`` allocates."""
+    blocks = {name.split(".")[0] for name in shapes if name.startswith("block")}
+    rows = {shape[0] for name, shape in shapes.items()
+            if name.endswith(".running_mean") and len(shape) == 2}
     recurrent = config.family in ("resnet_rnn", "convrnn_resnet")
-    if (shapes.get((_KIND_PARAM, "init_conv.weight"), ())[-1:] != (config.channels(),)
+    if (shapes.get("init_conv.weight", ())[-1:] != (config.channels(),)
             or len(blocks) != config.blocks()
             or rows != ({config.history + 1} if recurrent else set())):
         raise ValueError(f"bad checkpoint config: {config.channels()} channels, {config.blocks()} "
@@ -425,8 +425,8 @@ def load_checkpoint(path) -> tuple[Network, dict[str, np.ndarray]]:
             if 8 * n_entries > bytes_left(fh):  # an entry takes at least 8 bytes
                 raise ValueError(f"checkpoint truncated: {n_entries} entries declared")
             start = fh.tell()  # the entry table, holding one entry's bytes at a time
-            shapes = {(kind, name): arr.shape
-                      for kind, name, arr in (_read_entry(fh) for _ in range(n_entries))}
+            entries = (_read_entry(fh) for _ in range(n_entries))
+            shapes = {name: arr.shape for _, name, arr in entries}
             fh.seek(start)
             _check_sizes(config, shapes)
             net = _assemble(config, _unallocated)

@@ -23,9 +23,9 @@ strides only the axes after its first and runs no loop over samples.
 
 The fold's per-sample work runs inline or, when ``_over_samples`` allows,
 on the process's one worker pool (through ``tensor._parallel``, one thread
-per usable CPU; making the pool pins numpy's OpenBLAS to one thread).  Each sample is
-written by one worker and the dK partials add in sample order in the
-calling thread, so no result depends on the worker count.
+per usable CPU; making the pool pins numpy's OpenBLAS to one thread).
+Each sample is written by one worker and the dK partials add in sample
+order in the calling thread, so no result depends on the worker count.
 
 ``conv_nd_reference`` is the slow, straight-line evaluation of the N-D
 convolution sum and is the correctness oracle for every faster path in
