@@ -114,7 +114,9 @@ def test_single_byte_flips_load_or_raise_value_error(tmp_path, fmt):
 # per-timestep statistics) sized by channels, blocks or history
 @pytest.mark.parametrize("enlarged", [
     {"base_channels": 64, "kernel": 5}, {"history": 10 ** 5}, {"base_channels": 10 ** 6},
-    {"n_blocks": 2000}, {"history": 10 ** 12}, {"base_channels": 10 ** 12}])
+    {"n_blocks": 2000}, {"history": 10 ** 12}, {"base_channels": 10 ** 12}],
+    ids=["weights", "history-1e5", "channels-1e6", "blocks-2000", "history-1e12",
+         "channels-1e12"])
 def test_enlarged_checkpoint_config_rejected_before_allocating(tmp_path, enlarged):
     path = tmp_path / "model.ckpt"
     _write_checkpoint(path)
